@@ -31,15 +31,13 @@ from .simulator import (
 )
 from .features import (
     FEATURE_NAMES,
-    FeatureVector,
     Standardizer,
     extract_f1,
     extract_f2,
     extract_f3,
     extract_features,
-    fit_standardizer,
 )
-from .kernels import CompositeKernelState, KernelSpec, base_gram, compose, cross_gram, median_width
+from .kernels import KernelSpec, base_gram, compose, cross_gram, median_width
 from .mkprobit import (
     Prediction,
     ProbitMKLState,

@@ -228,12 +228,11 @@ class SchemeResult:
 def _check_alignment(kb: KnowledgeBase, noisy_kb: KnowledgeBase) -> None:
     if noisy_kb.n_samples != kb.n_samples:
         raise InvalidArgumentError("noisy knowledge base does not match sample count")
-    for a, b in zip(kb.samples, noisy_kb.samples):
-        if a.scenario_id != b.scenario_id or a.label != b.label:
-            raise InvalidArgumentError(
-                "noisy knowledge base is not aligned with the clean one "
-                f"(scenario {a.scenario_id!r} vs {b.scenario_id!r})"
-            )
+    if noisy_kb.ids != kb.ids or not np.array_equal(noisy_kb.labels, kb.labels):
+        raise InvalidArgumentError(
+            "noisy knowledge base is not aligned with the clean one "
+            "(scenario ids or labels differ)"
+        )
 
 
 def run_scheme(

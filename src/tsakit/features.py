@@ -39,35 +39,8 @@ def subset_columns(name: str) -> slice:
     return SUBSET_SLICES[name]
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """One labelled sample: the three stage subsets plus its class."""
-
-    f1: np.ndarray
-    f2: np.ndarray
-    f3: np.ndarray
-    label: int
-    scenario_id: str
-
-    def __post_init__(self):
-        if self.f1.shape != (7,) or self.f2.shape != (7,) or self.f3.shape != (9,):
-            raise InvalidArgumentError("subset widths must be 7, 7 and 9")
-        if self.label not in (-1, 1):
-            raise InvalidArgumentError("label must be +1 or -1")
-
-    @property
-    def values(self) -> np.ndarray:
-        """All 23 features in Tz1..Tz23 order."""
-        return np.concatenate([self.f1, self.f2, self.f3])
-
-    def subset(self, name: str) -> np.ndarray:
-        if name not in SUBSET_SLICES:
-            raise InvalidArgumentError(f"unknown subset {name!r}")
-        return self.values[SUBSET_SLICES[name]]
-
-
 def _acceleration(trajectory: Trajectory, k: int) -> np.ndarray:
-    return (trajectory.pm[k] - trajectory.pe[k]) / trajectory.inertia
+    return (trajectory.pm - trajectory.pe[k]) / trajectory.inertia
 
 
 def _kinetic_energy(trajectory: Trajectory, k: int) -> np.ndarray:
@@ -78,16 +51,16 @@ def extract_f1(trajectory: Trajectory) -> np.ndarray:
     """Fault-inception subset Tz1..Tz7.
 
     Evaluated at the first fault-on sample, except Tz1 which reads the
-    mechanical input at the last pre-fault sample and Tz5 which looks one
-    cycle past inception.
+    (time-constant) mechanical input, Tz6 which compares against the last
+    pre-fault sample, and Tz5 which looks one cycle past inception.
     """
     k0 = trajectory.t0_index
     if k0 + 1 >= trajectory.n_samples:
         raise InvalidArgumentError("trajectory ends too soon after fault inception")
     acc = _acceleration(trajectory, k0)
     ke_next = _kinetic_energy(trajectory, k0 + 1)
-    imbalance = trajectory.pm[k0] - trajectory.pe[k0]
-    tz1 = float(np.mean(trajectory.pm[k0 - 1]))
+    imbalance = trajectory.pm - trajectory.pe[k0]
+    tz1 = float(np.mean(trajectory.pm))
     tz2 = float(np.mean(acc))
     tz3 = float(np.mean((acc - acc.mean()) ** 2))
     tz4 = float(np.mean(imbalance))
@@ -104,7 +77,7 @@ def extract_f2(trajectory: Trajectory) -> np.ndarray:
     k = trajectory.tcl_index - 1
     acc = _acceleration(trajectory, k)
     ke = _kinetic_energy(trajectory, k)
-    tz8 = float(np.sum(np.abs(trajectory.pm[k] - trajectory.pe[k])))
+    tz8 = float(np.sum(np.abs(trajectory.pm - trajectory.pe[k])))
     tz9 = float(acc.max() - acc.min())
     tz10 = float(np.mean(ke))
     tz11 = float(trajectory.delta[k, int(np.argmax(ke))])
@@ -133,13 +106,10 @@ def extract_f3(trajectory: Trajectory) -> np.ndarray:
     return np.array(max_ke + ke_of_lead + spread)
 
 
-def extract_features(trajectory: Trajectory, label: int, scenario_id: str) -> FeatureVector:
-    return FeatureVector(
-        f1=extract_f1(trajectory),
-        f2=extract_f2(trajectory),
-        f3=extract_f3(trajectory),
-        label=label,
-        scenario_id=scenario_id,
+def extract_features(trajectory: Trajectory) -> np.ndarray:
+    """All 23 features in Tz1..Tz23 order."""
+    return np.concatenate(
+        [extract_f1(trajectory), extract_f2(trajectory), extract_f3(trajectory)]
     )
 
 
@@ -176,10 +146,3 @@ class Standardizer:
         """Undo the transform; information lost in constant columns stays lost."""
         z = np.asarray(z, dtype=float)
         return z * self.std + self.mean
-
-
-def fit_standardizer(samples) -> Standardizer:
-    """Fit the 23-column transform over a list of feature vectors."""
-    if not samples:
-        raise InvalidArgumentError("cannot fit a standardizer on no samples")
-    return Standardizer.fit(np.vstack([s.values for s in samples]))

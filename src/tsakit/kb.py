@@ -25,7 +25,7 @@ from .errors import (
     IntegrationDivergedError,
     InvalidArgumentError,
 )
-from .features import FEATURE_NAMES, FeatureVector, extract_features
+from .features import FEATURE_NAMES, extract_features
 from .network import NetworkCase, reduce_to_generators, solve_equilibrium
 from .simulator import Scenario, Trajectory, label, simulate
 
@@ -85,23 +85,28 @@ class ScenarioPlan:
 
 @dataclass(frozen=True)
 class KnowledgeBase:
+    """Labelled feature rows generated from one case and plan.
+
+    Row i of `feature_matrix` (N x 23, read-only) is sample `ids[i]` with
+    label `labels[i]` (+1 stable, -1 unstable).
+    """
+
     case_id: str
     plan: ScenarioPlan
-    samples: tuple
+    feature_matrix: np.ndarray
+    labels: np.ndarray
+    ids: tuple
     noise_max_rel_error: float = 0.0
     discarded: tuple = ()
 
+    def __post_init__(self):
+        matrix = self.feature_matrix.view()
+        matrix.flags.writeable = False
+        object.__setattr__(self, "feature_matrix", matrix)
+
     @property
     def n_samples(self) -> int:
-        return len(self.samples)
-
-    @property
-    def feature_matrix(self) -> np.ndarray:
-        return np.vstack([s.values for s in self.samples])
-
-    @property
-    def labels(self) -> np.ndarray:
-        return np.array([s.label for s in self.samples], dtype=int)
+        return len(self.ids)
 
 
 @dataclass(frozen=True)
@@ -165,7 +170,9 @@ def generate_kb(
     if total_p <= 0:
         raise InvalidArgumentError("case carries no active load to dispatch")
 
-    samples = []
+    rows = []
+    labels = []
+    ids = []
     discarded = []
     for counter, level, di, bus in plan.cells():
         scenario_id = f"lv{level:.2f}/d{di}/b{bus}"
@@ -193,26 +200,29 @@ def generate_kb(
                 noise_max_rel_error,
                 seed=_stream_seed(plan.master_seed, counter, 1),
             )
-        samples.append(extract_features(trajectory, lab, scenario_id))
+        rows.append(extract_features(trajectory))
+        labels.append(lab)
+        ids.append(scenario_id)
 
     if len(discarded) > DISCARD_LIMIT * plan.n_planned:
         raise DegenerateKnowledgeBaseError(
             f"{len(discarded)} of {plan.n_planned} scenarios were discarded; "
             "the plan does not fit the case"
         )
-    kb = KnowledgeBase(
-        case_id=case.case_id,
-        plan=plan,
-        samples=tuple(samples),
-        noise_max_rel_error=noise_max_rel_error,
-        discarded=tuple(discarded),
-    )
-    present = set(int(v) for v in kb.labels)
+    present = set(labels)
     if present != {-1, 1}:
         raise DegenerateKnowledgeBaseError(
             f"knowledge base holds classes {sorted(present)}; need both +1 and -1"
         )
-    return kb
+    return KnowledgeBase(
+        case_id=case.case_id,
+        plan=plan,
+        feature_matrix=np.array(rows),
+        labels=np.array(labels, dtype=int),
+        ids=tuple(ids),
+        noise_max_rel_error=noise_max_rel_error,
+        discarded=tuple(discarded),
+    )
 
 
 def split(kb: KnowledgeBase, n_train: int, seed) -> Split:
@@ -260,11 +270,11 @@ def kb_to_text(kb: KnowledgeBase) -> str:
         "discarded": list(kb.discarded),
     }
     lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-    for s in kb.samples:
+    for sid, lab, row in zip(kb.ids, kb.labels, kb.feature_matrix):
         record = {
-            "id": s.scenario_id,
-            "label": int(s.label),
-            "features": [float(v) for v in s.values],
+            "id": sid,
+            "label": int(lab),
+            "features": [float(v) for v in row],
         }
         lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
     return "\n".join(lines) + "\n"
@@ -287,7 +297,9 @@ def kb_from_text(text: str) -> KnowledgeBase:
     except (KeyError, TypeError) as exc:
         raise FormatError(f"header plan is incomplete: {exc}", line=1) from None
 
-    samples = []
+    rows = []
+    labels = []
+    ids = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -308,15 +320,15 @@ def kb_from_text(text: str) -> KnowledgeBase:
             )
         if lab not in (-1, 1):
             raise FormatError(f"label must be +1 or -1, got {lab}", line=lineno)
-        samples.append(
-            FeatureVector(
-                f1=values[0:7], f2=values[7:14], f3=values[14:23], label=lab, scenario_id=sid
-            )
-        )
+        rows.append(values)
+        labels.append(lab)
+        ids.append(sid)
     return KnowledgeBase(
         case_id=str(header.get("case_id", "")),
         plan=plan,
-        samples=tuple(samples),
+        feature_matrix=np.array(rows).reshape(len(rows), len(FEATURE_NAMES)),
+        labels=np.array(labels, dtype=int),
+        ids=tuple(ids),
         noise_max_rel_error=float(header.get("noise_max_rel_error", 0.0)),
         discarded=tuple(header.get("discarded", [])),
     )

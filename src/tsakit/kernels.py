@@ -122,25 +122,3 @@ def compose(grams, beta) -> np.ndarray:
     for w, g in zip(beta, grams):
         out += w * g
     return out
-
-
-@dataclass(frozen=True)
-class CompositeKernelState:
-    """Base Grams plus the current mixture, kept mutually consistent."""
-
-    grams: tuple
-    beta: np.ndarray
-    composite: np.ndarray
-
-    @classmethod
-    def build(cls, grams, beta) -> "CompositeKernelState":
-        grams = tuple(np.asarray(g, dtype=float) for g in grams)
-        beta = validate_simplex(beta)
-        return cls(grams=grams, beta=beta, composite=compose(grams, beta))
-
-    def with_beta(self, beta) -> "CompositeKernelState":
-        return CompositeKernelState.build(self.grams, beta)
-
-    @property
-    def n_spaces(self) -> int:
-        return len(self.grams)

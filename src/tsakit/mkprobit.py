@@ -31,8 +31,8 @@ from .errors import (
     InvalidArgumentError,
     NumericalFailureError,
 )
-from .features import FeatureVector, Standardizer, subset_columns
-from .kernels import CompositeKernelState, KernelSpec, cross_gram
+from .features import FEATURE_NAMES, Standardizer, subset_columns
+from .kernels import KernelSpec, compose, cross_gram
 
 # 128 nodes keep the probability sum rule below 1e-9 even for wide
 # predictive spreads; 64 starts to leak around 1e-6.
@@ -56,7 +56,8 @@ _UW = _gh_w / np.sqrt(np.pi)    # matching weights, summing to one
 class ProbitMKLState:
     """Mutable training state; every posterior factor lives here."""
 
-    kernel_state: CompositeKernelState
+    grams: tuple                 # S base Gram matrices, each (N, N)
+    beta: np.ndarray             # (S,) mixture weights on the simplex
     targets: np.ndarray          # (N,) class indices
     n_classes: int
     k_eff: np.ndarray            # composite + jitter on the diagonal
@@ -76,15 +77,11 @@ class ProbitMKLState:
     def n_samples(self) -> int:
         return int(self.targets.shape[0])
 
-    @property
-    def beta(self) -> np.ndarray:
-        return self.kernel_state.beta
-
     def set_beta(self, beta: np.ndarray) -> None:
         """Adopt a new mixture and rebuild the effective composite."""
-        self.kernel_state = self.kernel_state.with_beta(beta)
-        self.k_eff = self.kernel_state.composite + JITTER * np.eye(self.n_samples)
+        self.k_eff = compose(self.grams, beta) + JITTER * np.eye(self.n_samples)
         self.k_eff_sq = self.k_eff @ self.k_eff
+        self.beta = np.asarray(beta, dtype=float)
 
 
 def init_state(grams, targets, n_classes: int | None = None) -> ProbitMKLState:
@@ -109,12 +106,12 @@ def init_state(grams, targets, n_classes: int | None = None) -> ProbitMKLState:
     for g in grams:
         if np.asarray(g).shape != (n, n):
             raise InvalidArgumentError("each Gram matrix must be N x N for N samples")
-    kernel_state = CompositeKernelState.build(grams, np.full(s, 1.0 / s))
 
     y = np.full((n_classes, n), -1.0)
     y[targets, np.arange(n)] = 1.0
     state = ProbitMKLState(
-        kernel_state=kernel_state,
+        grams=tuple(np.asarray(g, dtype=float) for g in grams),
+        beta=np.full(s, 1.0 / s),
         targets=targets,
         n_classes=n_classes,
         k_eff=np.empty((n, n)),
@@ -127,7 +124,7 @@ def init_state(grams, targets, n_classes: int | None = None) -> ProbitMKLState:
         y_mean=y,
         rho=np.full(s, RHO_BASE),
     )
-    state.set_beta(kernel_state.beta)
+    state.set_beta(state.beta)
     return state
 
 
@@ -216,7 +213,7 @@ def resample_beta(state: ProbitMKLState, n_samples: int = BETA_SAMPLES, seed=Non
     the normalised weighted average becomes the new mixture.  The proposal
     is then re-centred as rho = 1 + S * beta.
     """
-    s = state.kernel_state.n_spaces
+    s = len(state.grams)
     if s == 1:
         return state.beta
     if n_samples < 1:
@@ -224,7 +221,7 @@ def resample_beta(state: ProbitMKLState, n_samples: int = BETA_SAMPLES, seed=Non
     rng = np.random.default_rng(seed)
     candidates = rng.dirichlet(state.rho, size=n_samples)      # (n, S)
     per_space = np.stack(
-        [(state.w_mean @ g).ravel() for g in state.kernel_state.grams]
+        [(state.w_mean @ g).ravel() for g in state.grams]
     )                                                           # (S, C*N)
     fitted = candidates @ per_space                             # (n, C*N)
     resid = state.y_mean.ravel()[None, :] - fitted
@@ -352,6 +349,17 @@ class TrainedModel:
     def n_classes(self) -> int:
         return int(self.w_mean.shape[0])
 
+    @property
+    def n_features(self) -> int:
+        """Width of the raw rows the model reads.
+
+        Stage subsets index the 23 Tz columns; a 'union' model reads every
+        column it was fitted on.
+        """
+        if self.subset_names == ("union",):
+            return int(self.standardizers[0].mean.size)
+        return len(FEATURE_NAMES)
+
 
 def _composite_rows(model: TrainedModel, raw: np.ndarray) -> np.ndarray:
     """Mixture kernel rows between query samples and the training set."""
@@ -383,14 +391,16 @@ def _quadrature_probabilities(mean: np.ndarray, spread: np.ndarray) -> np.ndarra
 
 
 def model_probabilities(model: TrainedModel, raw: np.ndarray, normalize: bool = True):
-    """Class probabilities for a batch of raw 23-feature rows.
+    """Class probabilities for a batch of raw feature rows.
 
     Also returns the predictive means and spreads per class.  The raw rows
     are standardized internally with the model's own transforms.
     """
-    raw = np.asarray(raw, dtype=float)
-    if raw.ndim == 1:
-        raw = raw[None, :]
+    raw = np.atleast_2d(np.asarray(raw, dtype=float))
+    if raw.ndim != 2 or raw.shape[1] != model.n_features:
+        raise InvalidArgumentError(
+            f"feature rows must hold {model.n_features} values, got shape {raw.shape}"
+        )
     k = _composite_rows(model, raw)
     mean = k @ model.w_mean.T                                  # (n, C)
     spread = np.sqrt(1.0 + k**2 @ model.w_cov_diag.T)          # (n, C)
@@ -401,9 +411,8 @@ def model_probabilities(model: TrainedModel, raw: np.ndarray, normalize: bool = 
 
 
 def predictive_distribution(model: TrainedModel, sample) -> Prediction:
-    """Full predictive law for one sample (FeatureVector or 23-vector)."""
-    raw = sample.values if isinstance(sample, FeatureVector) else np.asarray(sample, float)
-    probs, mean, spread = model_probabilities(model, raw)
+    """Full predictive law for one raw feature row."""
+    probs, mean, spread = model_probabilities(model, sample)
     label = model.class_labels[int(np.argmax(probs[0]))]
     return Prediction(
         probabilities=probs[0], label=int(label), mean=mean[0], spread=spread[0]

@@ -166,11 +166,15 @@ class ReducedNetwork:
 
 @dataclass(frozen=True)
 class Equilibrium:
-    """Steady state: rotor angles plus the matched mechanical injections."""
+    """Steady state: rotor angles plus the matched mechanical injections.
+
+    `network` is the reduced network the injections were balanced on.
+    """
 
     delta0: np.ndarray
     pm: np.ndarray
     pe0: np.ndarray
+    network: ReducedNetwork
 
 
 def fold_loads(case: NetworkCase, load_scale: float = 1.0) -> np.ndarray:
@@ -366,7 +370,7 @@ def solve_equilibrium(
     pe = electrical_power(delta, reduced, emf)
     pm_out = pm.copy()
     pm_out[0] = pe[0]
-    return Equilibrium(delta0=delta, pm=pm_out, pe0=pe)
+    return Equilibrium(delta0=delta, pm=pm_out, pe0=pe, network=reduced)
 
 
 # ---------------------------------------------------------------------------

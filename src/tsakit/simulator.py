@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationDivergedError, InvalidArgumentError
-from .network import Equilibrium, NetworkCase, reduce_to_generators
+from .network import Equilibrium, NetworkCase, ReducedNetwork, reduce_to_generators
 
 # Shunt conductance (pu) used to ground a bus for a bolted three-phase fault.
 FAULT_CONDUCTANCE = 1e6
@@ -62,9 +62,9 @@ class Scenario:
 class Trajectory:
     """Sampled rotor trajectory plus the switching bookkeeping.
 
-    All series have shape (n_samples, n_generators) and share indexing;
-    `pm` is constant in time under the classical model but is stored per
-    sample so every channel slices the same way.
+    The sampled series have shape (n_samples, n_generators) and share
+    indexing; `pm` is constant in time under the classical model and is
+    stored once, with shape (n_generators,).
     """
 
     times_s: np.ndarray
@@ -80,10 +80,12 @@ class Trajectory:
 
     def __post_init__(self):
         n = self.times_s.shape[0]
-        for name in ("delta", "omega_dev", "pm", "pe"):
+        for name in ("delta", "omega_dev", "pe"):
             arr = getattr(self, name)
             if arr.shape[0] != n:
                 raise InvalidArgumentError(f"series {name} does not match the time axis")
+        if self.pm.shape != (self.delta.shape[1],):
+            raise InvalidArgumentError("pm must hold one entry per generator")
         if not (0 < self.t0_index < self.tcl_index < n):
             raise InvalidArgumentError("switching indices must satisfy 0 < t0 < tcl < length")
 
@@ -108,11 +110,14 @@ class StabilityLabel:
         return INSTABILITY_THRESHOLD_DEG - self.max_spread_deg
 
 
-def _segment_tables(case: NetworkCase, scenario: Scenario):
-    """Per-segment (E_i E_j G_ij, E_i E_j B_ij) tables for the power sum."""
+def _segment_tables(case: NetworkCase, scenario: Scenario, pre: ReducedNetwork):
+    """Per-segment (E_i E_j G_ij, E_i E_j B_ij) tables for the power sum.
+
+    `pre` is the intact network the equilibrium was balanced on; only the
+    faulted network is reduced here.
+    """
     emf = case.emf
     ee = np.outer(emf, emf)
-    pre = reduce_to_generators(case, scenario.load_scale)
     if scenario.fault_bus is None:
         fault = pre
     else:
@@ -142,8 +147,9 @@ def simulate(
 ) -> Trajectory:
     """Integrate one scenario and sample it once per cycle.
 
-    The equilibrium supplies both the initial state and the mechanical
-    input; it must belong to the same case and load scale.
+    The equilibrium supplies the initial state, the mechanical input and
+    the intact reduced network; it must belong to the same case and load
+    scale.
     """
     if pre_fault_cycles < 1:
         raise InvalidArgumentError("need at least one pre-fault cycle")
@@ -164,7 +170,7 @@ def simulate(
             "observation horizon ends before the fault is cleared and observed"
         )
 
-    tables = _segment_tables(case, scenario)
+    tables = _segment_tables(case, scenario, equilibrium.network)
     pm = equilibrium.pm
     minv = 1.0 / case.inertia
     damping = case.damping
@@ -217,7 +223,7 @@ def simulate(
         times_s=times,
         delta=delta,
         omega_dev=omega,
-        pm=np.broadcast_to(pm, (n_samples, n_gen)).copy(),
+        pm=pm.copy(),
         pe=pe_out,
         t0_index=t0,
         tcl_index=tcl,
@@ -252,6 +258,6 @@ def trajectory_to_csv(trajectory: Trajectory, fh) -> None:
         for g in range(trajectory.n_generators):
             fh.write(
                 f"{t!r},{g + 1},{float(trajectory.delta[k, g])!r},"
-                f"{float(trajectory.omega_dev[k, g])!r},{float(trajectory.pm[k, g])!r},"
+                f"{float(trajectory.omega_dev[k, g])!r},{float(trajectory.pm[g])!r},"
                 f"{float(trajectory.pe[k, g])!r}\n"
             )

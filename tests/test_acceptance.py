@@ -235,7 +235,7 @@ def _spread_trajectory(spread_rad: float) -> Trajectory:
         times_s=np.arange(n) / 60.0,
         delta=delta,
         omega_dev=np.zeros((n, 2)),
-        pm=np.zeros((n, 2)),
+        pm=np.zeros(2),
         pe=np.zeros((n, 2)),
         t0_index=2,
         tcl_index=7,
@@ -261,7 +261,9 @@ def test_simulator_suite(bundled_case, pair_case):
     # Undamped lossless release: the energy integral must stay flat.
     pair_reduced = reduce_to_generators(pair_case, 1.0)
     delta_start = np.array([0.4, -0.4])
-    pair_eq_like = Equilibrium(delta0=delta_start, pm=np.zeros(2), pe0=np.zeros(2))
+    pair_eq_like = Equilibrium(
+        delta0=delta_start, pm=np.zeros(2), pe0=np.zeros(2), network=pair_reduced
+    )
     swingy = simulate(
         pair_case,
         Scenario(load_scale=1.0, dispatch_seed=0, fault_bus=None),

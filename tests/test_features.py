@@ -13,13 +13,11 @@ from tsakit.errors import InvalidArgumentError
 from tsakit.features import (
     FEATURE_NAMES,
     SUBSET_SLICES,
-    FeatureVector,
     Standardizer,
     extract_f1,
     extract_f2,
     extract_f3,
     extract_features,
-    fit_standardizer,
     subset_columns,
 )
 from tsakit.simulator import Scenario, Trajectory, simulate
@@ -34,7 +32,6 @@ PM_ROW = np.array([1.0, 0.8, 0.6])
 @pytest.fixture()
 def toy_trajectory():
     n = 20
-    pm = np.tile(PM_ROW, (n, 1))
     pe = np.zeros((n, 3))
     omega = np.zeros((n, 3))
     delta = np.zeros((n, 3))
@@ -59,7 +56,7 @@ def toy_trajectory():
         times_s=np.arange(n) / 60.0,
         delta=delta,
         omega_dev=omega,
-        pm=pm,
+        pm=PM_ROW.copy(),
         pe=pe,
         t0_index=2,
         tcl_index=7,
@@ -73,7 +70,7 @@ def test_inception_subset_matches_hand_values(toy_trajectory):
     # omega[3]; the pre/post power jump peaks at machine 1.
     expected = np.array(
         [
-            0.8,            # mean mechanical input one sample before the fault
+            0.8,            # mean mechanical input
             2.8 / 3.0,      # mean acceleration
             8.0 / 225.0,    # population variance of the acceleration
             0.3,            # mean power imbalance
@@ -102,22 +99,18 @@ def test_recovery_subset_matches_hand_values(toy_trajectory):
 
 
 def test_extract_features_concatenates_in_order(toy_trajectory):
-    fv = extract_features(toy_trajectory, label=-1, scenario_id="toy")
-    assert fv.label == -1
-    assert fv.scenario_id == "toy"
+    row = extract_features(toy_trajectory)
     assert len(FEATURE_NAMES) == 23
-    assert fv.values.shape == (23,)
-    assert_allclose(fv.values[SUBSET_SLICES["F1"]], fv.f1, rtol=0, atol=0)
-    assert_allclose(fv.values[SUBSET_SLICES["F2"]], fv.f2, rtol=0, atol=0)
-    assert_allclose(fv.values[SUBSET_SLICES["F3"]], fv.f3, rtol=0, atol=0)
-    assert_allclose(fv.subset("F2"), fv.f2, rtol=0, atol=0)
+    assert row.shape == (23,)
+    assert_allclose(row[SUBSET_SLICES["F1"]], extract_f1(toy_trajectory), rtol=0, atol=0)
+    assert_allclose(row[SUBSET_SLICES["F2"]], extract_f2(toy_trajectory), rtol=0, atol=0)
+    assert_allclose(row[SUBSET_SLICES["F3"]], extract_f3(toy_trajectory), rtol=0, atol=0)
 
 
 def test_argmax_features_break_ties_low():
     # Power-of-two values so the intended ties are exact in binary floats.
     n = 20
     m = np.array([1.0, 0.5, 0.25])
-    pm = np.tile([1.0, 0.5, 0.25], (n, 1))
     pe = np.zeros((n, 3))
     omega = np.zeros((n, 3))
     delta = np.zeros((n, 3))
@@ -128,7 +121,7 @@ def test_argmax_features_break_ties_low():
         times_s=np.arange(n) / 60.0,
         delta=delta,
         omega_dev=omega,
-        pm=pm,
+        pm=np.array([1.0, 0.5, 0.25]),
         pe=pe,
         t0_index=2,
         tcl_index=7,
@@ -136,7 +129,7 @@ def test_argmax_features_break_ties_low():
         base_frequency_hz=60.0,
     )
 
-    acc = (traj.pm[2] - traj.pe[2]) / m
+    acc = (traj.pm - traj.pe[2]) / m
     assert acc[0] == acc[1] == acc[2]  # three-way exact tie
     assert extract_f1(traj)[6] == traj.delta[2, 0]
 
@@ -147,8 +140,8 @@ def test_argmax_features_break_ties_low():
 
 def test_kinetic_features_scale_quadratically(toy_trajectory):
     doubled = dataclasses.replace(toy_trajectory, omega_dev=2.0 * toy_trajectory.omega_dev)
-    base = extract_features(toy_trajectory, 1, "a").values
-    scaled = extract_features(doubled, 1, "a").values
+    base = extract_features(toy_trajectory)
+    scaled = extract_features(doubled)
     energy_cols = [4, 9, 11, 12, 13, 14, 15, 16, 17, 18, 19]  # Tz5, Tz10, Tz12..Tz20
     other_cols = [k for k in range(23) if k not in energy_cols]
     assert_allclose(scaled[energy_cols], 4.0 * base[energy_cols], rtol=1e-12)
@@ -158,8 +151,8 @@ def test_kinetic_features_scale_quadratically(toy_trajectory):
 def test_angle_shift_moves_only_angle_readings(toy_trajectory):
     shift = 0.45
     moved = dataclasses.replace(toy_trajectory, delta=toy_trajectory.delta + shift)
-    base = extract_features(toy_trajectory, 1, "a").values
-    out = extract_features(moved, 1, "a").values
+    base = extract_features(toy_trajectory)
+    out = extract_features(moved)
     angle_cols = [6, 10]  # Tz7 and Tz11 read a single rotor angle
     spread_cols = [20, 21, 22]  # Tz21..Tz23 are differences
     for k in range(23):
@@ -172,8 +165,7 @@ def test_angle_shift_moves_only_angle_readings(toy_trajectory):
 
 
 def test_energy_readings_obey_order_relations(faulted_trajectory):
-    fv = extract_features(faulted_trajectory, 1, "real")
-    tz = dict(zip(FEATURE_NAMES, fv.values))
+    tz = dict(zip(FEATURE_NAMES, extract_features(faulted_trajectory)))
     assert tz["Tz14"] >= tz["Tz13"] >= tz["Tz10"] >= 0.0  # sum >= max >= mean
     assert tz["Tz13"] >= tz["Tz12"] >= 0.0                # max >= leader's KE
     for j in range(3):
@@ -187,8 +179,7 @@ def test_quiet_system_yields_null_disturbance_features(bundled_case, bundled_equ
         load_scale=1.0, dispatch_seed=0, fault_bus=None, observation_horizon_s=0.5
     )
     traj = simulate(bundled_case, scenario, bundled_equilibrium)
-    fv = extract_features(traj, 1, "quiet")
-    tz = dict(zip(FEATURE_NAMES, fv.values))
+    tz = dict(zip(FEATURE_NAMES, extract_features(traj)))
     assert tz["Tz1"] == pytest.approx(np.mean(bundled_equilibrium.pm), abs=1e-12)
     for name in ("Tz2", "Tz3", "Tz4", "Tz5", "Tz6", "Tz8", "Tz9", "Tz10",
                  "Tz12", "Tz13", "Tz14", "Tz15", "Tz16", "Tz17", "Tz18",
@@ -205,22 +196,10 @@ def test_recovery_subset_needs_nine_cycles(toy_trajectory):
         times_s=toy_trajectory.times_s[:15],
         delta=toy_trajectory.delta[:15],
         omega_dev=toy_trajectory.omega_dev[:15],
-        pm=toy_trajectory.pm[:15],
         pe=toy_trajectory.pe[:15],
     )
     with pytest.raises(InvalidArgumentError):
         extract_f3(cut)
-
-
-def test_feature_vector_validation():
-    good = dict(f1=np.zeros(7), f2=np.zeros(7), f3=np.zeros(9))
-    with pytest.raises(InvalidArgumentError):
-        FeatureVector(label=1, scenario_id="x", **{**good, "f1": np.zeros(6)})
-    with pytest.raises(InvalidArgumentError):
-        FeatureVector(label=0, scenario_id="x", **good)
-    fv = FeatureVector(label=1, scenario_id="x", **good)
-    with pytest.raises(InvalidArgumentError):
-        fv.subset("F9")
 
 
 def test_subset_columns_layout():
@@ -277,19 +256,3 @@ def test_standardized_columns_are_centred_and_unit(x):
     live = ~std.zero_variance
     assert_allclose(z[:, live].std(axis=0), 1.0, rtol=0, atol=1e-9)
     assert np.all(z[:, std.zero_variance] == 0.0)
-
-
-def test_fit_standardizer_over_feature_vectors(toy_trajectory):
-    fvs = [
-        extract_features(toy_trajectory, 1, "a"),
-        extract_features(
-            dataclasses.replace(toy_trajectory, omega_dev=2 * toy_trajectory.omega_dev),
-            -1,
-            "b",
-        ),
-    ]
-    std = fit_standardizer(fvs)
-    stacked = np.vstack([fv.values for fv in fvs])
-    assert_allclose(std.mean, stacked.mean(axis=0), rtol=0, atol=0)
-    with pytest.raises(InvalidArgumentError):
-        fit_standardizer([])

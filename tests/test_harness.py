@@ -183,7 +183,7 @@ def test_train_and_evaluate_fit_together(small_kb, small_split):
 def test_model_accepts_feature_vector_queries(small_kb, small_split):
     scheme = parse_scheme("F1(Kg)+F3(Kp)")
     model = train_model(small_kb, small_split.train_indices, scheme, seed=1)
-    pred = predictive_distribution(model, small_kb.samples[0])
+    pred = predictive_distribution(model, small_kb.feature_matrix[0])
     assert pred.label in CLASS_LABELS
     assert pred.probabilities.shape == (2,)
     assert abs(pred.probabilities.sum() - 1.0) < 1e-12
@@ -219,17 +219,22 @@ def test_noisy_modes_pick_the_right_sides(small_kb, small_split, noisy_small_kb)
 
 def test_misaligned_noisy_companion_is_refused(small_kb, small_split, noisy_small_kb):
     scheme = table6_schemes()[0]
-    short = dataclasses.replace(noisy_small_kb, samples=noisy_small_kb.samples[:-1])
+    short = dataclasses.replace(
+        noisy_small_kb,
+        feature_matrix=noisy_small_kb.feature_matrix[:-1],
+        labels=noisy_small_kb.labels[:-1],
+        ids=noisy_small_kb.ids[:-1],
+    )
     with pytest.raises(InvalidArgumentError, match="sample count"):
         run_scheme(small_kb, small_split, scheme, seed=0, noisy_kb=short)
 
-    renamed = dataclasses.replace(
-        noisy_small_kb,
-        samples=(dataclasses.replace(noisy_small_kb.samples[0], scenario_id="zz"),)
-        + noisy_small_kb.samples[1:],
-    )
+    renamed = dataclasses.replace(noisy_small_kb, ids=("zz",) + noisy_small_kb.ids[1:])
     with pytest.raises(InvalidArgumentError, match="aligned"):
         run_scheme(small_kb, small_split, scheme, seed=0, noisy_kb=renamed)
+
+    relabelled = dataclasses.replace(noisy_small_kb, labels=-noisy_small_kb.labels)
+    with pytest.raises(InvalidArgumentError, match="aligned"):
+        run_scheme(small_kb, small_split, scheme, seed=0, noisy_kb=relabelled)
 
 
 # --- Sweeps and reports --------------------------------------------------------------
@@ -411,6 +416,25 @@ def test_cli_predict_rejects_garbage(model_file, tmp_path, capsys):
     rc = cli.main(["predict", "--model", str(model_file), "--features", str(rows)])
     assert rc == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("scheme", ["F1(Kg)", "F3(Kg)"])
+@pytest.mark.parametrize("width", [22, 24])
+def test_cli_predict_rejects_wrong_row_width(kb_file, small_kb, scheme, width, tmp_path, capsys):
+    # A single-subset model reads only its own columns, so nothing but the
+    # width check stops a short or long row from being scored.
+    model = tmp_path / "model.json"
+    train = ["train", "--kb", str(kb_file), "--scheme", scheme, "--train-size", "12"]
+    assert cli.main(train + ["--out", str(model)]) == 0
+    row = np.resize(small_kb.feature_matrix[0], width)
+    rows = tmp_path / "rows.txt"
+    rows.write_text(" ".join(repr(float(v)) for v in row) + "\n")
+    capsys.readouterr()
+    rc = cli.main(["predict", "--model", str(model), "--features", str(rows)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "23 values" in captured.err
 
 
 def test_cli_sweep_is_reproducible(kb_file, tmp_path, capsys):

@@ -127,10 +127,10 @@ def test_noise_is_seed_deterministic(faulted_trajectory):
 def test_generation_covers_the_plan(small_kb, small_plan):
     assert small_kb.n_samples + len(small_kb.discarded) == small_plan.n_planned
     assert small_kb.feature_matrix.shape == (small_kb.n_samples, 23)
+    assert not small_kb.feature_matrix.flags.writeable
     assert set(small_kb.labels) == {-1, 1}
     planned_ids = [f"lv{lv:.2f}/d{d}/b{b}" for _, lv, d, b in small_plan.cells()]
-    kept = [s.scenario_id for s in small_kb.samples]
-    assert kept == [sid for sid in planned_ids if sid not in small_kb.discarded]
+    assert list(small_kb.ids) == [sid for sid in planned_ids if sid not in small_kb.discarded]
 
 
 def test_generation_is_reproducible(bundled_case, small_plan, small_kb):
@@ -140,21 +140,19 @@ def test_generation_is_reproducible(bundled_case, small_plan, small_kb):
 
 def test_master_seed_changes_dispatches(bundled_case, small_plan, small_kb):
     reseeded = generate_kb(bundled_case, dataclasses.replace(small_plan, master_seed=1))
-    ours = [s.scenario_id for s in small_kb.samples]
-    theirs = [s.scenario_id for s in reseeded.samples]
+    ours = small_kb.ids
+    theirs = reseeded.ids
     assert set(ours) & set(theirs)  # the grid itself is unchanged
     common = sorted(set(ours) & set(theirs))
-    a = {s.scenario_id: s.values for s in small_kb.samples}
-    b = {s.scenario_id: s.values for s in reseeded.samples}
+    a = dict(zip(ours, small_kb.feature_matrix))
+    b = dict(zip(theirs, reseeded.feature_matrix))
     assert any(not np.array_equal(a[sid], b[sid]) for sid in common)
 
 
 def test_labels_come_from_the_clean_trajectory(bundled_case, small_plan, small_kb):
     noisy = generate_kb(bundled_case, small_plan, noise_max_rel_error=0.05)
     assert noisy.noise_max_rel_error == 0.05
-    assert [s.scenario_id for s in noisy.samples] == [
-        s.scenario_id for s in small_kb.samples
-    ]
+    assert noisy.ids == small_kb.ids
     assert np.array_equal(noisy.labels, small_kb.labels)
     assert not np.array_equal(noisy.feature_matrix, small_kb.feature_matrix)
 
@@ -169,8 +167,7 @@ def test_discarded_cells_are_accounted_for(bundled_case):
     kb = generate_kb(bundled_case, plan)
     assert len(kb.discarded) >= 1
     planned_ids = [f"lv{lv:.2f}/d{d}/b{b}" for _, lv, d, b in plan.cells()]
-    kept = [s.scenario_id for s in kb.samples]
-    assert sorted(kept + list(kb.discarded)) == sorted(planned_ids)
+    assert sorted(kb.ids + kb.discarded) == sorted(planned_ids)
 
 
 def test_generation_rejects_bad_noise(bundled_case, small_plan):
@@ -240,9 +237,7 @@ def test_text_round_trip_is_lossless(small_kb):
     assert clone.discarded == small_kb.discarded
     assert np.array_equal(clone.labels, small_kb.labels)
     assert np.array_equal(clone.feature_matrix, small_kb.feature_matrix)
-    assert [s.scenario_id for s in clone.samples] == [
-        s.scenario_id for s in small_kb.samples
-    ]
+    assert clone.ids == small_kb.ids
 
 
 def test_save_load_and_digest(small_kb, tmp_path):

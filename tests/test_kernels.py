@@ -10,7 +10,6 @@ from tsakit.errors import InvalidArgumentError, SimplexViolationError, TsaKitErr
 from tsakit.kernels import (
     GAUSSIAN,
     POLYNOMIAL,
-    CompositeKernelState,
     KernelSpec,
     base_gram,
     compose,
@@ -229,19 +228,6 @@ def test_compose_validates_inputs():
         compose([g, g], np.array([0.7, 0.7]))
 
 
-def test_composite_state_stays_consistent():
-    rng = np.random.default_rng(9)
-    grams = [random_gram(rng, 6, GAUSSIAN), random_gram(rng, 6, GAUSSIAN)]
-    state = CompositeKernelState.build(grams, np.array([0.4, 0.6]))
-    assert state.n_spaces == 2
-    recomposed = sum(b * g for b, g in zip(state.beta, state.grams))
-    assert np.max(np.abs(state.composite - recomposed)) <= 1e-12
-    moved = state.with_beta(np.array([0.9, 0.1]))
-    assert_allclose(moved.composite, 0.9 * grams[0] + 0.1 * grams[1], rtol=0, atol=1e-12)
-    with pytest.raises(SimplexViolationError):
-        state.with_beta(np.array([0.9, 0.2]))
-
-
 @settings(deadline=None, max_examples=50)
 @given(
     st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=5),
@@ -251,5 +237,5 @@ def test_normalized_weights_compose_any_gram_set(raw, seed):
     beta = np.asarray(raw) / np.sum(raw)
     rng = np.random.default_rng(seed)
     grams = [random_gram(rng, 5, GAUSSIAN) for _ in raw]
-    state = CompositeKernelState.build(grams, beta)
-    assert np.max(np.abs(state.composite - compose(grams, state.beta))) <= 1e-12
+    recomposed = sum(b * g for b, g in zip(beta, grams))
+    assert np.max(np.abs(compose(grams, beta) - recomposed)) <= 1e-12

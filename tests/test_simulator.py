@@ -1,5 +1,6 @@
 """Staged swing integration: fixed points, energy, convergence, labels."""
 
+import dataclasses
 import io
 
 import numpy as np
@@ -29,7 +30,7 @@ def make_trajectory(delta, t0_index=2, tcl_index=7, freq=60.0):
         times_s=np.arange(n) / freq,
         delta=delta,
         omega_dev=zeros,
-        pm=zeros,
+        pm=np.zeros(g),
         pe=zeros,
         t0_index=t0_index,
         tcl_index=tcl_index,
@@ -62,6 +63,13 @@ def test_trajectory_rejects_inconsistent_indices():
         make_trajectory(delta, t0_index=0, tcl_index=5)
     with pytest.raises(InvalidArgumentError):
         make_trajectory(delta, t0_index=2, tcl_index=10)
+
+
+def test_trajectory_stores_pm_once_per_generator():
+    traj = make_trajectory(np.zeros((10, 2)))
+    assert traj.pm.shape == (2,)
+    with pytest.raises(InvalidArgumentError):
+        dataclasses.replace(traj, pm=np.zeros((10, 2)))
 
 
 def test_simulate_rejects_horizon_shorter_than_clearing(bundled_case, bundled_equilibrium):
@@ -128,7 +136,7 @@ def test_undamped_lossless_run_conserves_energy(pair_case):
     reduced = reduce_to_generators(pair_case)
     b12 = reduced.susceptance[0, 1]
     start = Equilibrium(
-        delta0=np.array([0.4, -0.4]), pm=np.zeros(2), pe0=np.zeros(2)
+        delta0=np.array([0.4, -0.4]), pm=np.zeros(2), pe0=np.zeros(2), network=reduced
     )
     scenario = Scenario(
         load_scale=1.0, dispatch_seed=0, fault_bus=None, observation_horizon_s=5.0
@@ -165,7 +173,7 @@ def test_common_angle_shift_propagates(pair_case):
     # Shifting every rotor by a constant shifts the whole trajectory.
     reduced = reduce_to_generators(pair_case)
     eq = solve_equilibrium(pair_case, reduced, np.array([0.8, -0.8]))
-    shifted = Equilibrium(delta0=eq.delta0 + 0.7, pm=eq.pm, pe0=eq.pe0)
+    shifted = dataclasses.replace(eq, delta0=eq.delta0 + 0.7)
     scenario = Scenario(
         load_scale=1.0, dispatch_seed=0, fault_bus=2, observation_horizon_s=1.0
     )
@@ -176,11 +184,7 @@ def test_common_angle_shift_propagates(pair_case):
 
 
 def test_divergence_reports_last_finite_sample(bundled_case, bundled_equilibrium):
-    poisoned = Equilibrium(
-        delta0=np.array([np.nan, 0.0, 0.0]),
-        pm=bundled_equilibrium.pm,
-        pe0=bundled_equilibrium.pe0,
-    )
+    poisoned = dataclasses.replace(bundled_equilibrium, delta0=np.array([np.nan, 0.0, 0.0]))
     scenario = Scenario(load_scale=1.0, dispatch_seed=0, fault_bus=7)
     with pytest.raises(IntegrationDivergedError) as excinfo:
         simulate(bundled_case, scenario, poisoned)
