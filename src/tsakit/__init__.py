@@ -42,7 +42,6 @@ from .mkprobit import (
     Prediction,
     ProbitMKLState,
     TrainedModel,
-    classify,
     init_state,
     load_model,
     lower_bound,

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import experiments, kb as kbmod, mkprobit, network, simulator
-from .errors import InvalidArgumentError, NumericalFailureError, TsaKitError
+from .errors import InvalidArgumentError, NumericalFailureError, TsaKitError, read_text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,15 +93,10 @@ def _cmd_gen_kb(args) -> int:
     return 0
 
 
-def _split_seeds(seed):
-    root = np.random.SeedSequence(int(seed))
-    return root.spawn(2)
-
-
 def _cmd_train(args) -> int:
     base = kbmod.load_kb(args.kb)
     scheme = experiments.parse_scheme(args.scheme)
-    split_seed, train_seed = _split_seeds(args.seed)
+    split_seed, train_seed = experiments.seed_streams(args.seed)
     data_split = kbmod.split(base, args.train_size, seed=split_seed)
     model = experiments.train_model(base, data_split.train_indices, scheme, train_seed)
     mkprobit.save_model(model, args.out)
@@ -134,8 +129,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = mkprobit.load_model(args.model)
-    with open(args.features, "r", encoding="utf-8") as fh:
-        rows = [line.split() for line in fh if line.strip()]
+    rows = [line.split() for line in read_text(args.features).split("\n") if line.strip()]
     for lineno, row in enumerate(rows, start=1):
         try:
             x = np.array([float(v) for v in row])

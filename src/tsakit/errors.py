@@ -2,7 +2,8 @@
 
 Two families matter to callers: bad input (``InvalidArgumentError`` and
 subclasses, CLI exit code 1) and numerical breakdown
-(``NumericalFailureError`` and subclasses, CLI exit code 2).
+(``NumericalFailureError`` and subclasses, CLI exit code 2).  Input files
+are read through ``read_text`` so that undecodable bytes are bad input too.
 """
 
 
@@ -22,6 +23,15 @@ class FormatError(InvalidArgumentError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def read_text(path) -> str:
+    """Whole contents of a UTF-8 text file; undecodable bytes are a FormatError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 class DegenerateLabelsError(InvalidArgumentError):

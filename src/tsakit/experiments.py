@@ -14,7 +14,6 @@ deterministic columns so a rerun with the same seed is byte-identical.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,6 +142,15 @@ def metrics(y_true: np.ndarray, y_pred: np.ndarray) -> dict:
     }
 
 
+def seed_streams(seed: int):
+    """The (split, training) child streams of a run seed.
+
+    Separate streams let every scheme run under one seed see the same
+    train/test partition while training draws its own randomness.
+    """
+    return np.random.SeedSequence(int(seed)).spawn(2)
+
+
 def labels_to_targets(labels: np.ndarray) -> np.ndarray:
     targets = np.empty(len(labels), dtype=int)
     for idx, lab in enumerate(labels):
@@ -157,7 +165,6 @@ def train_model(
     train_indices: np.ndarray,
     scheme: SchemeSpec,
     seed,
-    max_iters: int = 200,
 ) -> TrainedModel:
     """Fit one scheme on the given rows of a knowledge base.
 
@@ -184,7 +191,7 @@ def train_model(
         grams.append(base_gram(xs, spec))
         train_features.append(xs)
 
-    state = train(grams, targets, seed=seed, max_iters=max_iters)
+    state = train(grams, targets, seed=seed)
     return TrainedModel(
         subset_names=tuple(scheme.subsets),
         standardizers=tuple(standardizers),
@@ -222,7 +229,6 @@ class SchemeResult:
     converged: bool
     beta: tuple
     final_bound: float
-    wall_time_s: float
 
 
 def _check_alignment(kb: KnowledgeBase, noisy_kb: KnowledgeBase) -> None:
@@ -239,11 +245,13 @@ def run_scheme(
     kb: KnowledgeBase,
     data_split: Split,
     scheme: SchemeSpec,
-    seed,
+    seed: int,
     noisy_kb: KnowledgeBase | None = None,
-    max_iters: int = 200,
 ) -> SchemeResult:
-    """Train one scheme on the split's train side, score its test side."""
+    """Train one scheme on the split's train side, score its test side.
+
+    Training draws from the training stream of the run seed `seed`.
+    """
     if scheme.noise_mode != "clean":
         if noisy_kb is None:
             raise InvalidArgumentError(
@@ -253,14 +261,13 @@ def run_scheme(
     train_kb = noisy_kb if scheme.noise_mode == "train-and-test-noisy" else kb
     test_kb = noisy_kb if scheme.noise_mode != "clean" else kb
 
-    started = time.perf_counter()
-    model = train_model(train_kb, data_split.train_indices, scheme, seed, max_iters=max_iters)
+    _, train_seed = seed_streams(seed)
+    model = train_model(train_kb, data_split.train_indices, scheme, train_seed)
     result = evaluate_model(model, test_kb, data_split.test_indices)
-    elapsed = time.perf_counter() - started
     confusion = {k: v for k, v in result.items() if k != "accuracy"}
     return SchemeResult(
         scheme=scheme,
-        seed=int(seed) if np.isscalar(seed) else -1,
+        seed=int(seed),
         n_train=len(data_split.train_indices),
         n_test=len(data_split.test_indices),
         accuracy=result["accuracy"],
@@ -269,7 +276,6 @@ def run_scheme(
         converged=model.converged,
         beta=tuple(float(b) for b in model.beta),
         final_bound=float(model.lb_trace[-1]),
-        wall_time_s=elapsed,
     )
 
 
@@ -289,7 +295,6 @@ def sweep(
     n_train: int,
     noisy_kb: KnowledgeBase | None = None,
     kb_hash: str = "",
-    max_iters: int = 200,
 ) -> SweepReport:
     """Run every scheme over every seed; each seed fixes its own split.
 
@@ -301,13 +306,9 @@ def sweep(
     for scheme in schemes:
         accs = []
         for s in seeds:
-            root = np.random.SeedSequence(int(s))
-            split_seed, train_seed = root.spawn(2)
+            split_seed, _ = seed_streams(s)
             data_split = make_split(kb, n_train, seed=split_seed)
-            res = run_scheme(
-                kb, data_split, scheme, train_seed, noisy_kb=noisy_kb, max_iters=max_iters
-            )
-            res = SchemeResult(**{**res.__dict__, "seed": int(s)})
+            res = run_scheme(kb, data_split, scheme, s, noisy_kb=noisy_kb)
             results.append(res)
             accs.append(res.accuracy)
         medians[scheme.scheme_id or scheme.combination] = float(np.median(accs))

@@ -138,11 +138,4 @@ class Standardizer:
     def transform(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         z = (x - self.mean) / self.std
-        if z.ndim == 1:
-            return np.where(self.zero_variance, 0.0, z)
-        return np.where(self.zero_variance[None, :], 0.0, z)
-
-    def inverse_transform(self, z: np.ndarray) -> np.ndarray:
-        """Undo the transform; information lost in constant columns stays lost."""
-        z = np.asarray(z, dtype=float)
-        return z * self.std + self.mean
+        return np.where(self.zero_variance, 0.0, z)

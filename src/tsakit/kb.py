@@ -24,6 +24,7 @@ from .errors import (
     FormatError,
     IntegrationDivergedError,
     InvalidArgumentError,
+    read_text,
 )
 from .features import FEATURE_NAMES, extract_features
 from .network import NetworkCase, reduce_to_generators, solve_equilibrium
@@ -62,8 +63,14 @@ class ScenarioPlan:
             object.__setattr__(self, "load_levels", default_load_levels())
         if not self.fault_buses:
             raise InvalidArgumentError("plan needs at least one fault bus")
+        if len(set(self.fault_buses)) != len(self.fault_buses):
+            raise InvalidArgumentError("fault buses must be distinct")
         if any(lv <= 0 for lv in self.load_levels):
             raise InvalidArgumentError("load levels must be positive")
+        # Scenario ids label a level to two decimals; each label must be unique.
+        level_labels = {f"{lv:.2f}" for lv in self.load_levels}
+        if len(level_labels) != len(self.load_levels):
+            raise InvalidArgumentError("load levels must differ at two decimals")
         if self.dispatches_per_level < 1:
             raise InvalidArgumentError("dispatches_per_level must be at least 1")
         if self.fault_clearing_cycles < 1:
@@ -294,8 +301,13 @@ def kb_from_text(text: str) -> KnowledgeBase:
         raise FormatError("feature order in header does not match Tz1..Tz23", line=1)
     try:
         plan = _plan_from_doc(header["plan"])
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"header plan is incomplete: {exc}", line=1) from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"header plan is incomplete or invalid: {exc}", line=1) from None
+    try:
+        noise_max_rel_error = float(header.get("noise_max_rel_error", 0.0))
+        discarded = tuple(header.get("discarded", []))
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"bad header field: {exc}", line=1) from None
 
     rows = []
     labels = []
@@ -329,8 +341,8 @@ def kb_from_text(text: str) -> KnowledgeBase:
         feature_matrix=np.array(rows).reshape(len(rows), len(FEATURE_NAMES)),
         labels=np.array(labels, dtype=int),
         ids=tuple(ids),
-        noise_max_rel_error=float(header.get("noise_max_rel_error", 0.0)),
-        discarded=tuple(header.get("discarded", [])),
+        noise_max_rel_error=noise_max_rel_error,
+        discarded=discarded,
     )
 
 
@@ -340,8 +352,7 @@ def save_kb(kb: KnowledgeBase, path) -> None:
 
 
 def load_kb(path) -> KnowledgeBase:
-    with open(path, "r", encoding="utf-8") as fh:
-        return kb_from_text(fh.read())
+    return kb_from_text(read_text(path))
 
 
 def file_sha256(path) -> str:

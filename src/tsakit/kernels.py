@@ -46,10 +46,6 @@ class KernelSpec:
         else:
             raise InvalidArgumentError(f"unknown kernel kind {self.kind!r}")
 
-    @property
-    def code(self) -> str:
-        return CODE_OF_KIND[self.kind]
-
 
 def _as_matrix(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
@@ -89,12 +85,9 @@ def cross_gram(x: np.ndarray, z: np.ndarray, spec: KernelSpec) -> np.ndarray:
 def base_gram(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Symmetric Gram matrix of one base kernel over a sample set."""
     x = _as_matrix(x)
+    g = cross_gram(x, x, spec)
     if spec.kind == GAUSSIAN:
-        sq = cdist(x, x, metric="sqeuclidean")
-        g = np.exp(-sq / (2.0 * spec.sigma**2))
         np.fill_diagonal(g, 1.0)
-    else:
-        g = (x @ x.T + spec.offset) ** spec.degree
     return 0.5 * (g + g.T)
 
 

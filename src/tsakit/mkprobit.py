@@ -30,6 +30,7 @@ from .errors import (
     FormatError,
     InvalidArgumentError,
     NumericalFailureError,
+    read_text,
 )
 from .features import FEATURE_NAMES, Standardizer, subset_columns
 from .kernels import KernelSpec, compose, cross_gram
@@ -205,21 +206,19 @@ def update_auxiliaries(state: ProbitMKLState) -> None:
     state.y_mean = y
 
 
-def resample_beta(state: ProbitMKLState, n_samples: int = BETA_SAMPLES, seed=None) -> np.ndarray:
+def resample_beta(state: ProbitMKLState, seed=None) -> np.ndarray:
     """Importance-sample the kernel mixture around the current posterior.
 
-    Candidates come from Dirichlet(rho); each is weighted by the fit
-    exp(-||Y - W K^beta||_F^2 / 2) under the current posterior means, and
-    the normalised weighted average becomes the new mixture.  The proposal
-    is then re-centred as rho = 1 + S * beta.
+    BETA_SAMPLES candidates come from Dirichlet(rho); each is weighted by
+    the fit exp(-||Y - W K^beta||_F^2 / 2) under the current posterior
+    means, and the normalised weighted average becomes the new mixture.
+    The proposal is then re-centred as rho = 1 + S * beta.
     """
     s = len(state.grams)
     if s == 1:
         return state.beta
-    if n_samples < 1:
-        raise InvalidArgumentError("need at least one mixture candidate")
     rng = np.random.default_rng(seed)
-    candidates = rng.dirichlet(state.rho, size=n_samples)      # (n, S)
+    candidates = rng.dirichlet(state.rho, size=BETA_SAMPLES)   # (n, S)
     per_space = np.stack(
         [(state.w_mean @ g).ravel() for g in state.grams]
     )                                                           # (S, C*N)
@@ -282,13 +281,10 @@ def train(
     targets,
     seed: int = 0,
     max_iters: int = MAX_ITERS,
-    rel_tol: float = BOUND_REL_TOL,
-    n_beta_samples: int = BETA_SAMPLES,
-    resample: bool = True,
 ) -> ProbitMKLState:
     """Run coordinate ascent to convergence of the lower bound.
 
-    Stops once the relative bound change stays below `rel_tol` for two
+    Stops once the relative bound change stays below BOUND_REL_TOL for two
     consecutive iterations, or after `max_iters`.  All randomness (the
     mixture proposals) derives from `seed`.
     """
@@ -300,13 +296,12 @@ def train(
     for it in range(max_iters):
         update_regressors_and_scales(state)
         update_auxiliaries(state)
-        if resample:
-            resample_beta(state, n_samples=n_beta_samples, seed=children[it])
+        resample_beta(state, seed=children[it])
         bound = lower_bound(state)
         state.lb_trace.append(bound)
         if previous is not None:
             rel = abs(bound - previous) / max(1.0, abs(bound))
-            streak = streak + 1 if rel < rel_tol else 0
+            streak = streak + 1 if rel < BOUND_REL_TOL else 0
             if streak >= 2:
                 state.converged = True
                 break
@@ -390,11 +385,12 @@ def _quadrature_probabilities(mean: np.ndarray, spread: np.ndarray) -> np.ndarra
     return probs
 
 
-def model_probabilities(model: TrainedModel, raw: np.ndarray, normalize: bool = True):
+def model_probabilities(model: TrainedModel, raw: np.ndarray):
     """Class probabilities for a batch of raw feature rows.
 
-    Also returns the predictive means and spreads per class.  The raw rows
-    are standardized internally with the model's own transforms.
+    The quadrature probabilities are renormalised to sum to one.  Also
+    returns the predictive means and spreads per class.  The raw rows are
+    standardized internally with the model's own transforms.
     """
     raw = np.atleast_2d(np.asarray(raw, dtype=float))
     if raw.ndim != 2 or raw.shape[1] != model.n_features:
@@ -405,8 +401,7 @@ def model_probabilities(model: TrainedModel, raw: np.ndarray, normalize: bool = 
     mean = k @ model.w_mean.T                                  # (n, C)
     spread = np.sqrt(1.0 + k**2 @ model.w_cov_diag.T)          # (n, C)
     probs = _quadrature_probabilities(mean, spread)
-    if normalize:
-        probs = probs / probs.sum(axis=1, keepdims=True)
+    probs = probs / probs.sum(axis=1, keepdims=True)
     return probs, mean, spread
 
 
@@ -417,11 +412,6 @@ def predictive_distribution(model: TrainedModel, sample) -> Prediction:
     return Prediction(
         probabilities=probs[0], label=int(label), mean=mean[0], spread=spread[0]
     )
-
-
-def classify(model: TrainedModel, sample) -> int:
-    """Most probable class label; argmax ties fall to the first class."""
-    return predictive_distribution(model, sample).label
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +495,8 @@ def model_from_document(text: str) -> TrainedModel:
             converged=bool(doc["converged"]),
             lb_trace=tuple(float(v) for v in doc["lb_trace"]),
         )
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"model document is missing or corrupts field {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"model document has a missing or corrupt field: {exc}") from None
 
 
 def save_model(model: TrainedModel, path) -> None:
@@ -515,5 +505,4 @@ def save_model(model: TrainedModel, path) -> None:
 
 
 def load_model(path) -> TrainedModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_document(fh.read())
+    return model_from_document(read_text(path))

@@ -20,11 +20,19 @@ from .errors import (
     FormatError,
     InvalidArgumentError,
     ReductionSingularError,
+    read_text,
 )
 
 # Eliminated blocks with a condition estimate beyond this are treated as
 # singular rather than silently amplifying round-off.
 _CONDITION_LIMIT = 1e12
+
+# Shunt conductance (pu) that grounds a bus for a bolted three-phase fault.
+FAULT_CONDUCTANCE = 1e6
+
+# Newton power-balance solve: residual tolerance (pu) and iteration cap.
+NEWTON_TOL = 1e-8
+MAX_NEWTON_ITERS = 50
 
 
 @dataclass(frozen=True)
@@ -118,11 +126,6 @@ class NetworkCase:
             if b.bus_id == bus_id:
                 return k
         raise InvalidArgumentError(f"unknown bus id {bus_id}")
-
-    @property
-    def omega_s(self) -> float:
-        """Synchronous speed in rad/s."""
-        return 2.0 * np.pi * self.base_frequency_hz
 
     @property
     def inertia(self) -> np.ndarray:
@@ -254,18 +257,17 @@ def reduce_to_generators(
     case: NetworkCase,
     load_scale: float = 1.0,
     fault_bus: int | None = None,
-    fault_conductance: float = 1e6,
 ) -> ReducedNetwork:
     """Reduce the full network to the generator internal nodes.
 
-    With `fault_bus` set, that bus is grounded through `fault_conductance`
+    With `fault_bus` set, that bus is grounded through FAULT_CONDUCTANCE
     before the reduction, which models a bolted three-phase fault.
     """
     ybus = fold_loads(case, load_scale)
     if fault_bus is not None:
         k = case.bus_index(fault_bus)
         ybus = ybus.copy()
-        ybus[k, k] += fault_conductance
+        ybus[k, k] += FAULT_CONDUCTANCE
     aug, internal = _augmented_matrix(case, ybus)
     reduced = kron_reduce(aug, internal)
     return ReducedNetwork(y=reduced, generator_buses=tuple(g.bus for g in case.generators))
@@ -292,8 +294,6 @@ def solve_equilibrium(
     case: NetworkCase,
     reduced: ReducedNetwork,
     pm: np.ndarray,
-    tol: float = 1e-8,
-    max_newton_iters: int = 50,
 ) -> Equilibrium:
     """Locate the pre-fault operating point for a mechanical dispatch.
 
@@ -317,12 +317,12 @@ def solve_equilibrium(
     delta = np.zeros(n)
     mismatch = mismatch_at(delta)
     residual = float(np.max(np.abs(mismatch))) if n > 1 else 0.0
-    converged = residual < tol
+    converged = residual < NEWTON_TOL
     # Once inside tolerance, a couple of extra quadratic steps pin the fixed
     # point near machine precision; otherwise its leftover net power drives a
     # slow common-mode drift over long integrations.
     polish_left = 2
-    for _ in range(max_newton_iters):
+    for _ in range(MAX_NEWTON_ITERS):
         if converged and (polish_left == 0 or residual < 1e-13):
             break
         if converged:
@@ -359,10 +359,10 @@ def solve_equilibrium(
             raise EquilibriumFailureError(
                 "Newton step left the finite domain", residual=residual
             )
-        converged = converged or residual < tol
+        converged = converged or residual < NEWTON_TOL
     if not converged:
         raise EquilibriumFailureError(
-            f"no convergence after {max_newton_iters} Newton iterations "
+            f"no convergence after {MAX_NEWTON_ITERS} Newton iterations "
             f"(residual {residual:.3e})",
             residual=residual,
         )
@@ -462,8 +462,7 @@ def parse_case(text: str, case_id_hint: str = "case") -> NetworkCase:
 
 
 def load_case(path) -> NetworkCase:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_case(fh.read(), case_id_hint=str(path))
+    return parse_case(read_text(path), case_id_hint=str(path))
 
 
 def bundled_case_path() -> str:

@@ -21,9 +21,6 @@ import numpy as np
 from .errors import IntegrationDivergedError, InvalidArgumentError
 from .network import Equilibrium, NetworkCase, ReducedNetwork, reduce_to_generators
 
-# Shunt conductance (pu) used to ground a bus for a bolted three-phase fault.
-FAULT_CONDUCTANCE = 1e6
-
 # Output samples per cycle is fixed at one; this is the internal refinement.
 SUBSTEPS_PER_CYCLE = 10
 
@@ -75,8 +72,6 @@ class Trajectory:
     t0_index: int
     tcl_index: int
     inertia: np.ndarray
-    base_frequency_hz: float
-    case_id: str = ""
 
     def __post_init__(self):
         n = self.times_s.shape[0]
@@ -105,10 +100,6 @@ class StabilityLabel:
     value: int
     max_spread_deg: float
 
-    @property
-    def margin_deg(self) -> float:
-        return INSTABILITY_THRESHOLD_DEG - self.max_spread_deg
-
 
 def _segment_tables(case: NetworkCase, scenario: Scenario, pre: ReducedNetwork):
     """Per-segment (E_i E_j G_ij, E_i E_j B_ij) tables for the power sum.
@@ -121,12 +112,7 @@ def _segment_tables(case: NetworkCase, scenario: Scenario, pre: ReducedNetwork):
     if scenario.fault_bus is None:
         fault = pre
     else:
-        fault = reduce_to_generators(
-            case,
-            scenario.load_scale,
-            fault_bus=scenario.fault_bus,
-            fault_conductance=FAULT_CONDUCTANCE,
-        )
+        fault = reduce_to_generators(case, scenario.load_scale, fault_bus=scenario.fault_bus)
     tables = []
     for net in (pre, fault, pre):
         tables.append((ee * net.conductance, ee * net.susceptance))
@@ -143,7 +129,6 @@ def simulate(
     scenario: Scenario,
     equilibrium: Equilibrium,
     substeps_per_cycle: int = SUBSTEPS_PER_CYCLE,
-    pre_fault_cycles: int = PRE_FAULT_CYCLES,
 ) -> Trajectory:
     """Integrate one scenario and sample it once per cycle.
 
@@ -151,8 +136,6 @@ def simulate(
     the intact reduced network; it must belong to the same case and load
     scale.
     """
-    if pre_fault_cycles < 1:
-        raise InvalidArgumentError("need at least one pre-fault cycle")
     if substeps_per_cycle < 1:
         raise InvalidArgumentError("substeps_per_cycle must be at least 1")
     freq = case.base_frequency_hz
@@ -163,7 +146,7 @@ def simulate(
         case.bus_index(scenario.fault_bus)  # raises on unknown bus
 
     n_samples = int(round(scenario.observation_horizon_s * freq)) + 1
-    t0 = pre_fault_cycles
+    t0 = PRE_FAULT_CYCLES
     tcl = t0 + scenario.fault_clearing_cycles
     if tcl >= n_samples - 1:
         raise InvalidArgumentError(
@@ -228,8 +211,6 @@ def simulate(
         t0_index=t0,
         tcl_index=tcl,
         inertia=case.inertia.copy(),
-        base_frequency_hz=freq,
-        case_id=case.case_id,
     )
 
 

@@ -240,7 +240,6 @@ def _spread_trajectory(spread_rad: float) -> Trajectory:
         t0_index=2,
         tcl_index=7,
         inertia=np.ones(2),
-        base_frequency_hz=60.0,
     )
 
 

@@ -61,7 +61,6 @@ def toy_trajectory():
         t0_index=2,
         tcl_index=7,
         inertia=M.copy(),
-        base_frequency_hz=60.0,
     )
 
 
@@ -126,7 +125,6 @@ def test_argmax_features_break_ties_low():
         t0_index=2,
         tcl_index=7,
         inertia=m,
-        base_frequency_hz=60.0,
     )
 
     acc = (traj.pm - traj.pe[2]) / m
@@ -223,7 +221,6 @@ def test_standardizer_population_statistics():
     z = std.transform(x)
     assert_allclose(z[:, 0], np.array([-2.0, 0.0, 2.0]) / np.sqrt(8.0 / 3.0), atol=1e-15)
     assert_allclose(z[:, 1], 0.0, rtol=0, atol=0)
-    assert_allclose(std.inverse_transform(z), x, rtol=0, atol=1e-12)
 
 
 def test_standardizer_single_row_transform():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import pathlib
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from tsakit.experiments import (
     parse_scheme,
     report_to_csv,
     run_scheme,
+    seed_streams,
     svg_line_chart,
     sweep,
     table4_schemes,
@@ -29,6 +31,7 @@ from tsakit.experiments import (
 from tsakit.kb import generate_kb, kb_to_text, save_kb, split
 from tsakit.kernels import GAUSSIAN, POLYNOMIAL
 from tsakit.mkprobit import load_model, predictive_distribution
+from tsakit.network import bundled_case_path
 
 
 @pytest.fixture(scope="module")
@@ -197,7 +200,7 @@ def test_run_scheme_reports_the_cell(small_kb, small_split):
     assert sum(res.confusion.values()) == res.n_test
     assert res.iterations >= 2
     assert abs(sum(res.beta) - 1.0) < 1e-12
-    assert res.wall_time_s >= 0.0
+    assert res.seed == 0
     assert np.isfinite(res.final_bound)
 
 
@@ -255,6 +258,10 @@ def test_sweep_collects_medians(small_kb):
     a0 = [r for r in report.results if r.scheme.scheme_id == "a"][0]
     b0 = [r for r in report.results if r.scheme.scheme_id == "b"][0]
     assert a0.n_test == b0.n_test
+
+    # a cell is run_scheme under its seed, on the seed's split stream
+    split_seed, _ = seed_streams(0)
+    assert run_scheme(small_kb, split(small_kb, 12, seed=split_seed), schemes[0], 0) == a0
 
 
 def test_report_csv_is_deterministic(small_kb):
@@ -416,6 +423,51 @@ def test_cli_predict_rejects_garbage(model_file, tmp_path, capsys):
     rc = cli.main(["predict", "--model", str(model_file), "--features", str(rows)])
     assert rc == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "target, old, new",
+    [
+        ("kb", b'"dispatches_per_level":3', b'"dispatches_per_level":"x"'),
+        ("kb", b'"noise_max_rel_error":0.0', b'"noise_max_rel_error":"x"'),
+        ("kb", b'"discarded":[]', b'"discarded":5'),
+        ("kb", b"{", b"\xff{"),
+        ("model", b'"degree":2', b'"degree":"two"'),
+        ("model", b'"beta":[', b'"beta":["a",'),
+        ("model", b"{", b"\xff{"),
+        ("features", b"0", b"\xff0"),
+        ("case", b"format", b"\xffformat"),
+    ],
+    ids=[
+        "kb-plan-field", "kb-noise-field", "kb-discarded-field", "kb-not-utf8",
+        "model-degree", "model-beta", "model-not-utf8", "rows-not-utf8", "case-not-utf8",
+    ],
+)
+def test_cli_malformed_input_exits_one(
+    target, old, new, kb_file, model_file, small_kb, tmp_path, capsys
+):
+    rows = tmp_path / "rows.txt"
+    rows.write_text(" ".join(repr(float(v)) for v in small_kb.feature_matrix[0]) + "\n")
+    paths = {"kb": kb_file, "model": model_file, "features": rows, "case": bundled_case_path()}
+    data = pathlib.Path(paths[target]).read_bytes()
+    assert old in data
+    paths[target] = tmp_path / "bad"
+    paths[target].write_bytes(data.replace(old, new, 1))
+    if target == "case":
+        argv = ["simulate", "--case", str(paths["case"]), "--out", str(tmp_path / "t.csv")]
+    elif target == "features":
+        argv = ["predict", "--model", str(paths["model"]), "--features", str(paths["features"])]
+    else:
+        argv = ["eval", "--model", str(paths["model"]), "--kb", str(paths["kb"])]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_gen_kb_rejects_repeated_cells(tmp_path, capsys):
+    out = str(tmp_path / "kb.txt")
+    assert cli.main(["gen-kb", "--fault-buses", "7,7", "--out", out]) == 1
+    assert cli.main(["gen-kb", "--levels", "1.05,1.049", "--out", out]) == 1
+    assert capsys.readouterr().err.count("error:") == 2
 
 
 @pytest.mark.parametrize("scheme", ["F1(Kg)", "F3(Kg)"])

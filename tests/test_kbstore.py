@@ -60,6 +60,9 @@ def test_cells_iterate_bus_fastest():
         dict(fault_buses=(7,), load_levels=(1.0, -0.5)),
         dict(fault_buses=(7,), dispatches_per_level=0),
         dict(fault_buses=(7,), fault_clearing_cycles=0),
+        # repeated cells would share one scenario id
+        dict(fault_buses=(7, 7)),
+        dict(fault_buses=(7,), load_levels=(1.05, 1.049)),
     ],
 )
 def test_plan_rejects_bad_arguments(kwargs):

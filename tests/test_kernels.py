@@ -175,11 +175,6 @@ def test_kernel_spec_rejects(kwargs):
         KernelSpec(**kwargs)
 
 
-def test_kernel_spec_codes():
-    assert KernelSpec(kind=GAUSSIAN, sigma=2.0).code == "Kg"
-    assert POLY_2.code == "Kp"
-
-
 # --- Simplex and composition ---------------------------------------------------
 
 

@@ -22,7 +22,6 @@ from tsakit.mkprobit import (
     _quadrature_probabilities,
     _solve_spd,
     _truncated_moments,
-    classify,
     init_state,
     load_model,
     lower_bound,
@@ -252,13 +251,6 @@ def test_single_space_skips_resampling(toy_grams, toy_dataset):
     assert np.array_equal(state.rho, rho_before)
 
 
-def test_resample_requires_candidates(toy_grams, toy_dataset):
-    _, targets = toy_dataset
-    state = init_state(toy_grams, targets)
-    with pytest.raises(InvalidArgumentError):
-        resample_beta(state, n_samples=0, seed=0)
-
-
 # --- State construction ------------------------------------------------------------
 
 
@@ -329,17 +321,17 @@ def test_model_probability_plumbing():
     x_train, t_train = make_blobs(15, seed=22)
     model = fit_plain_model(x_train, t_train, max_iters=60)
     x_query = x_train[:5]
-    raw, mean, spread = model_probabilities(model, x_query, normalize=False)
+    normed, mean, spread = model_probabilities(model, x_query)
+    raw = _quadrature_probabilities(mean, spread)
     assert np.max(np.abs(raw.sum(axis=1) - 1.0)) < 1e-6
     assert np.all(spread >= 1.0)  # unit link noise plus a quadratic form
-    normed, _, _ = model_probabilities(model, x_query)
     assert_allclose(normed.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert np.array_equal(normed, raw / raw.sum(axis=1, keepdims=True))
 
     single = predictive_distribution(model, x_query[0])
     assert single.probabilities.shape == (2,)
     assert single.label in model.class_labels
     assert single.label == model.class_labels[int(np.argmax(single.probabilities))]
-    assert classify(model, x_query[0]) == single.label
 
 
 def test_swapped_labels_swap_probabilities():
