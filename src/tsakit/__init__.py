@@ -28,6 +28,7 @@ from .simulator import (
     label,
     max_angle_divergence,
     simulate,
+    simulate_batch,
 )
 from .features import (
     FEATURE_NAMES,

@@ -13,7 +13,13 @@ import sys
 import numpy as np
 
 from . import experiments, kb as kbmod, mkprobit, network, simulator
-from .errors import InvalidArgumentError, NumericalFailureError, TsaKitError, read_text
+from .errors import (
+    FormatError,
+    InvalidArgumentError,
+    NumericalFailureError,
+    TsaKitError,
+    read_text,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -170,13 +176,24 @@ def _cmd_sweep(args) -> int:
 
 
 def _read_trajectory_csv(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "t_s,gen,delta_rad,omega_dev,pm_pu,pe_pu":
-            raise InvalidArgumentError(f"{path} is not a trajectory table")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    data = np.array([[float(v) for v in row] for row in rows])
-    return data
+    lines = read_text(path).splitlines()
+    if not lines or lines[0].strip() != "t_s,gen,delta_rad,omega_dev,pm_pu,pe_pu":
+        raise FormatError(f"{path} is not a trajectory table")
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            values = [float(v) for v in line.split(",")]
+        except ValueError:
+            raise FormatError("trajectory field is not a number", line=lineno) from None
+        if len(values) != 6 or not all(np.isfinite(values)):
+            raise FormatError("trajectory row needs six finite numbers", line=lineno)
+        rows.append(values)
+    if not rows:
+        raise FormatError(f"{path} holds no trajectory rows")
+    return np.array(rows)
 
 
 def _cmd_plot(args) -> int:

@@ -28,7 +28,8 @@ from .errors import (
 )
 from .features import FEATURE_NAMES, extract_features
 from .network import NetworkCase, reduce_to_generators, solve_equilibrium
-from .simulator import Scenario, Trajectory, label, simulate
+from .simulator import Scenario, Trajectory, label, simulate_batch
+from .simulator import simulate  # noqa: F401  (wrapped by bench/tracing.py)
 
 KB_FORMAT = 1
 
@@ -42,6 +43,10 @@ NOISE_MAX = 0.05
 # More than this fraction of failed grid cells means the plan does not fit
 # the case.
 DISCARD_LIMIT = 0.20
+
+# Most cells one `simulate_batch` call integrates.  Lanes are independent,
+# so this bounds memory and never changes results.
+BATCH_CELLS = 256
 
 
 def default_load_levels() -> tuple:
@@ -157,32 +162,16 @@ def inject_noise(trajectory: Trajectory, max_rel_error: float, seed) -> Trajecto
     return replace(trajectory, **noisy)
 
 
-def generate_kb(
-    case: NetworkCase,
-    plan: ScenarioPlan,
-    noise_max_rel_error: float = 0.0,
-) -> KnowledgeBase:
-    """Simulate the whole plan grid and collect labelled feature vectors.
+def _solve_cells(case: NetworkCase, plan: ScenarioPlan) -> list:
+    """(counter, scenario id, scenario, equilibrium) of every cell, in plan order.
 
-    Grid cells whose equilibrium cannot be solved are discarded and
-    recorded; more than DISCARD_LIMIT of them, or a knowledge base left
-    with a single class, aborts generation.  Labels always come from the
-    clean trajectory; noise, when requested, only affects the features.
+    The equilibrium is None where it cannot be solved.  The intact network
+    is reduced once per load level.
     """
-    if noise_max_rel_error < 0 or noise_max_rel_error > NOISE_MAX:
-        raise InvalidArgumentError(f"noise level must lie in [0, {NOISE_MAX}]")
-    for bus in plan.fault_buses:
-        case.bus_index(bus)  # raises on unknown bus
     total_p = case.total_load_p
-    if total_p <= 0:
-        raise InvalidArgumentError("case carries no active load to dispatch")
-
-    rows = []
-    labels = []
-    ids = []
-    discarded = []
+    intact = {}
+    cells = []
     for counter, level, di, bus in plan.cells():
-        scenario_id = f"lv{level:.2f}/d{di}/b{bus}"
         dispatch_seed = _stream_seed(plan.master_seed, counter, 0)
         shares = dispatch_shares(case.n_generators, dispatch_seed)
         pm_target = shares * (total_p * level)
@@ -193,21 +182,67 @@ def generate_kb(
             fault_clearing_cycles=plan.fault_clearing_cycles,
             observation_horizon_s=plan.observation_horizon_s,
         )
+        if level not in intact:
+            intact[level] = reduce_to_generators(case, level)
         try:
-            reduced = reduce_to_generators(case, level)
-            eq = solve_equilibrium(case, reduced, pm_target)
-            trajectory = simulate(case, scenario, eq)
-        except (EquilibriumFailureError, IntegrationDivergedError):
+            eq = solve_equilibrium(case, intact[level], pm_target)
+        except EquilibriumFailureError:
+            eq = None
+        cells.append((counter, f"lv{level:.2f}/d{di}/b{bus}", scenario, eq))
+    return cells
+
+
+def generate_kb(
+    case: NetworkCase,
+    plan: ScenarioPlan,
+    noise_max_rel_error: float = 0.0,
+) -> KnowledgeBase:
+    """Simulate the whole plan grid and collect labelled feature vectors.
+
+    Grid cells whose equilibrium cannot be solved, or whose integration
+    diverges, are discarded and recorded in plan order; more than
+    DISCARD_LIMIT of them, or a knowledge base left with a single class,
+    aborts generation.  Solved cells are integrated together, BATCH_CELLS
+    at a time.  Labels always come from the clean trajectory; noise, when
+    requested, only affects the features.
+    """
+    if noise_max_rel_error < 0 or noise_max_rel_error > NOISE_MAX:
+        raise InvalidArgumentError(f"noise level must lie in [0, {NOISE_MAX}]")
+    for bus in plan.fault_buses:
+        case.bus_index(bus)  # raises on unknown bus
+    if case.total_load_p <= 0:
+        raise InvalidArgumentError("case carries no active load to dispatch")
+
+    cells = _solve_cells(case, plan)
+
+    # Integrate the solved cells in batches; a diverged cell gets no outcome.
+    solved = [cell for cell in cells if cell[3] is not None]
+    outcomes = {}  # counter -> (feature row, label)
+    for start in range(0, len(solved), BATCH_CELLS):
+        batch = solved[start : start + BATCH_CELLS]
+        results = simulate_batch(case, [c[2] for c in batch], [c[3] for c in batch])
+        for (counter, _, _, _), trajectory in zip(batch, results):
+            if isinstance(trajectory, IntegrationDivergedError):
+                continue
+            lab = label(trajectory).value
+            if noise_max_rel_error > 0:
+                trajectory = inject_noise(
+                    trajectory,
+                    noise_max_rel_error,
+                    seed=_stream_seed(plan.master_seed, counter, 1),
+                )
+            outcomes[counter] = (extract_features(trajectory), lab)
+
+    rows = []
+    labels = []
+    ids = []
+    discarded = []
+    for counter, scenario_id, _, _ in cells:
+        if counter not in outcomes:
             discarded.append(scenario_id)
             continue
-        lab = label(trajectory).value
-        if noise_max_rel_error > 0:
-            trajectory = inject_noise(
-                trajectory,
-                noise_max_rel_error,
-                seed=_stream_seed(plan.master_seed, counter, 1),
-            )
-        rows.append(extract_features(trajectory))
+        row, lab = outcomes[counter]
+        rows.append(row)
         labels.append(lab)
         ids.append(scenario_id)
 
@@ -305,9 +340,13 @@ def kb_from_text(text: str) -> KnowledgeBase:
         raise FormatError(f"header plan is incomplete or invalid: {exc}", line=1) from None
     try:
         noise_max_rel_error = float(header.get("noise_max_rel_error", 0.0))
-        discarded = tuple(header.get("discarded", []))
     except (TypeError, ValueError) as exc:
         raise FormatError(f"bad header field: {exc}", line=1) from None
+    if not 0.0 <= noise_max_rel_error <= NOISE_MAX:
+        raise FormatError(f"noise_max_rel_error must lie in [0, {NOISE_MAX}]", line=1)
+    discarded = header.get("discarded", [])
+    if not isinstance(discarded, list) or not all(isinstance(sid, str) for sid in discarded):
+        raise FormatError("discarded must be a list of scenario ids", line=1)
 
     rows = []
     labels = []
@@ -335,14 +374,16 @@ def kb_from_text(text: str) -> KnowledgeBase:
         rows.append(values)
         labels.append(lab)
         ids.append(sid)
+    if not rows:
+        raise FormatError("knowledge base holds no records")
     return KnowledgeBase(
         case_id=str(header.get("case_id", "")),
         plan=plan,
-        feature_matrix=np.array(rows).reshape(len(rows), len(FEATURE_NAMES)),
+        feature_matrix=np.array(rows),
         labels=np.array(labels, dtype=int),
         ids=tuple(ids),
         noise_max_rel_error=noise_max_rel_error,
-        discarded=discarded,
+        discarded=tuple(discarded),
     )
 
 

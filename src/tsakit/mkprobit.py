@@ -289,7 +289,16 @@ def train(
     mixture proposals) derives from `seed`.
     """
     state = init_state(grams, targets)
-    seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    if isinstance(seed, np.random.SeedSequence):
+        # Spawn from a copy so the caller's sequence is not advanced.
+        seed_seq = np.random.SeedSequence(
+            seed.entropy,
+            spawn_key=seed.spawn_key,
+            pool_size=seed.pool_size,
+            n_children_spawned=seed.n_children_spawned,
+        )
+    else:
+        seed_seq = np.random.SeedSequence(seed)
     children = seed_seq.spawn(max_iters)
     previous = None
     streak = 0

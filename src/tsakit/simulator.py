@@ -4,7 +4,9 @@ A scenario is integrated through three network segments: the pre-fault
 network holding its equilibrium, a fault-on network with the faulted bus
 grounded through a large shunt, and the restored pre-fault network out to
 the observation horizon.  Integration is fixed-step RK4 with ten internal
-steps per cycle; the trajectory is sampled once per cycle.
+steps per cycle; the trajectory is sampled once per cycle.  One RK4 loop
+serves both entry points: `simulate_batch` advances many scenarios of a
+case side by side, and `simulate` is its one-scenario case.
 
 At a switching instant the stored electrical power refers to the network
 that becomes active there (the rotor state itself is continuous), so the
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationDivergedError, InvalidArgumentError
-from .network import Equilibrium, NetworkCase, ReducedNetwork, reduce_to_generators
+from .network import Equilibrium, NetworkCase, reduce_to_generators
 
 # Output samples per cycle is fixed at one; this is the internal refinement.
 SUBSTEPS_PER_CYCLE = 10
@@ -101,27 +103,47 @@ class StabilityLabel:
     max_spread_deg: float
 
 
-def _segment_tables(case: NetworkCase, scenario: Scenario, pre: ReducedNetwork):
-    """Per-segment (E_i E_j G_ij, E_i E_j B_ij) tables for the power sum.
+def _segment_tables(case: NetworkCase, scenarios, equilibria):
+    """Per-segment (E_i E_j G_ij, E_i E_j B_ij) tables, stacked over lanes.
 
-    `pre` is the intact network the equilibrium was balanced on; only the
-    faulted network is reduced here.
+    Each table has shape (n_lanes, n_gen, n_gen).  A lane's intact network
+    is the one its equilibrium was balanced on; each distinct faulted
+    network, one per (load scale, fault bus), is reduced once.
     """
-    emf = case.emf
-    ee = np.outer(emf, emf)
-    if scenario.fault_bus is None:
-        fault = pre
-    else:
-        fault = reduce_to_generators(case, scenario.load_scale, fault_bus=scenario.fault_bus)
-    tables = []
-    for net in (pre, fault, pre):
-        tables.append((ee * net.conductance, ee * net.susceptance))
-    return tables
+    ee = np.outer(case.emf, case.emf)
+    faulted = {}
+    fault_nets = []
+    for scenario, eq in zip(scenarios, equilibria):
+        if scenario.fault_bus is None:
+            fault_nets.append(eq.network)
+            continue
+        key = (scenario.load_scale, scenario.fault_bus)
+        if key not in faulted:
+            faulted[key] = reduce_to_generators(
+                case, scenario.load_scale, fault_bus=scenario.fault_bus
+            )
+        fault_nets.append(faulted[key])
+
+    def stack(nets):
+        return (
+            np.stack([ee * net.conductance for net in nets]),
+            np.stack([ee * net.susceptance for net in nets]),
+        )
+
+    pre = stack([eq.network for eq in equilibria])
+    return [pre, stack(fault_nets), pre]
 
 
-def _pe(delta: np.ndarray, eg: np.ndarray, eb: np.ndarray) -> np.ndarray:
-    dd = delta[:, None] - delta[None, :]
-    return np.sum(eg * np.cos(dd) + eb * np.sin(dd), axis=1)
+def _pe(delta: np.ndarray, eg: np.ndarray, eb: np.ndarray, work) -> np.ndarray:
+    """Electrical power of every lane; `work` holds three (B, n, n) buffers."""
+    dd, cos, sin = work
+    np.subtract(delta[:, :, None], delta[:, None, :], out=dd)
+    np.cos(dd, out=cos)
+    np.sin(dd, out=sin)
+    np.multiply(eg, cos, out=cos)
+    np.multiply(eb, sin, out=sin)
+    np.add(cos, sin, out=cos)
+    return np.add.reduce(cos, axis=2)
 
 
 def simulate(
@@ -134,36 +156,77 @@ def simulate(
 
     The equilibrium supplies the initial state, the mechanical input and
     the intact reduced network; it must belong to the same case and load
-    scale.
+    scale.  Raises IntegrationDivergedError on a non-finite state.
     """
+    (result,) = simulate_batch(case, [scenario], [equilibrium], substeps_per_cycle)
+    if isinstance(result, IntegrationDivergedError):
+        raise result
+    return result
+
+
+def simulate_batch(
+    case: NetworkCase,
+    scenarios,
+    equilibria,
+    substeps_per_cycle: int = SUBSTEPS_PER_CYCLE,
+) -> list:
+    """Integrate many scenarios of one case in a single vectorised RK4 pass.
+
+    Lane b runs `scenarios[b]` from `equilibria[b]`.  Lanes never mix, so
+    each lane equals its own `simulate` call bit for bit.  The scenarios
+    must share the clearing time and the observation horizon.
+
+    Returns one entry per lane: its Trajectory or, for a lane whose state
+    went non-finite, an IntegrationDivergedError carrying the last finite
+    sample.  A diverged lane leaves the other lanes untouched.
+    """
+    scenarios = list(scenarios)
+    equilibria = list(equilibria)
     if substeps_per_cycle < 1:
         raise InvalidArgumentError("substeps_per_cycle must be at least 1")
+    if not scenarios:
+        raise InvalidArgumentError("a batch needs at least one scenario")
+    if len(equilibria) != len(scenarios):
+        raise InvalidArgumentError("a batch needs one equilibrium per scenario")
+    first = scenarios[0]
+    if any(
+        s.fault_clearing_cycles != first.fault_clearing_cycles
+        or s.observation_horizon_s != first.observation_horizon_s
+        for s in scenarios
+    ):
+        raise InvalidArgumentError("scenarios in one batch must share clearing time and horizon")
     freq = case.base_frequency_hz
     n_gen = case.n_generators
-    if equilibrium.delta0.shape != (n_gen,):
+    if any(eq.delta0.shape != (n_gen,) for eq in equilibria):
         raise InvalidArgumentError("equilibrium does not match the case")
-    if scenario.fault_bus is not None:
-        case.bus_index(scenario.fault_bus)  # raises on unknown bus
+    for scenario in scenarios:
+        if scenario.fault_bus is not None:
+            case.bus_index(scenario.fault_bus)  # raises on unknown bus
 
-    n_samples = int(round(scenario.observation_horizon_s * freq)) + 1
+    n_samples = int(round(first.observation_horizon_s * freq)) + 1
     t0 = PRE_FAULT_CYCLES
-    tcl = t0 + scenario.fault_clearing_cycles
+    tcl = t0 + first.fault_clearing_cycles
     if tcl >= n_samples - 1:
         raise InvalidArgumentError(
             "observation horizon ends before the fault is cleared and observed"
         )
 
-    tables = _segment_tables(case, scenario, equilibrium.network)
-    pm = equilibrium.pm
-    minv = 1.0 / case.inertia
-    damping = case.damping
+    n_lanes = len(scenarios)
+    tables = _segment_tables(case, scenarios, equilibria)
+    pm = np.stack([eq.pm for eq in equilibria])
+    # Tiled to (B, n): same-shape operands spare numpy its broadcasting
+    # overhead, which dominates at these sizes.
+    minv = np.tile(1.0 / case.inertia, (n_lanes, 1))
+    damping = np.tile(case.damping, (n_lanes, 1))
     h = 1.0 / (freq * substeps_per_cycle)
+    work = tuple(np.empty((n_lanes, n_gen, n_gen)) for _ in range(3))
 
-    delta = np.empty((n_samples, n_gen))
-    omega = np.empty((n_samples, n_gen))
-    pe_out = np.empty((n_samples, n_gen))
-    d = equilibrium.delta0.copy()
-    w = np.zeros(n_gen)
+    delta = np.empty((n_lanes, n_samples, n_gen))
+    omega = np.empty((n_lanes, n_samples, n_gen))
+    pe_out = np.empty((n_lanes, n_samples, n_gen))
+    d = np.stack([eq.delta0 for eq in equilibria])
+    w = np.zeros((n_lanes, n_gen))
+    diverged = {}  # lane -> last finite sample
 
     def segment(k: int) -> int:
         if k < t0:
@@ -175,43 +238,62 @@ def simulate(
     for k in range(n_samples):
         eg, eb = tables[segment(k)]
         if not (np.all(np.isfinite(d)) and np.all(np.isfinite(w))):
-            raise IntegrationDivergedError(
-                f"non-finite rotor state at sample {k}", last_finite_index=k - 1
-            )
-        delta[k] = d
-        omega[k] = w
-        pe_out[k] = _pe(d, eg, eb)
+            finite = np.all(np.isfinite(d), axis=1) & np.all(np.isfinite(w), axis=1)
+            for b in np.flatnonzero(~finite):
+                diverged.setdefault(int(b), k - 1)
+            # Park diverged lanes at a finite state; their samples are never returned.
+            d[~finite] = 0.0
+            w[~finite] = 0.0
+            if len(diverged) == n_lanes:
+                break
+        delta[:, k] = d
+        omega[:, k] = w
+        pe_out[:, k] = _pe(d, eg, eb, work)
         if k == n_samples - 1:
             break
         for _ in range(substeps_per_cycle):
             k1d = w
-            k1w = (pm - _pe(d, eg, eb) - damping * w) * minv
+            k1w = (pm - _pe(d, eg, eb, work) - damping * w) * minv
             d2 = d + 0.5 * h * k1d
             w2 = w + 0.5 * h * k1w
             k2d = w2
-            k2w = (pm - _pe(d2, eg, eb) - damping * w2) * minv
+            k2w = (pm - _pe(d2, eg, eb, work) - damping * w2) * minv
             d3 = d + 0.5 * h * k2d
             w3 = w + 0.5 * h * k2w
             k3d = w3
-            k3w = (pm - _pe(d3, eg, eb) - damping * w3) * minv
+            k3w = (pm - _pe(d3, eg, eb, work) - damping * w3) * minv
             d4 = d + h * k3d
             w4 = w + h * k3w
             k4d = w4
-            k4w = (pm - _pe(d4, eg, eb) - damping * w4) * minv
+            k4w = (pm - _pe(d4, eg, eb, work) - damping * w4) * minv
             d = d + (h / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
             w = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
 
     times = np.arange(n_samples) / freq
-    return Trajectory(
-        times_s=times,
-        delta=delta,
-        omega_dev=omega,
-        pm=pm.copy(),
-        pe=pe_out,
-        t0_index=t0,
-        tcl_index=tcl,
-        inertia=case.inertia.copy(),
-    )
+    inertia = case.inertia.copy()
+    results = []
+    for b, eq in enumerate(equilibria):
+        if b in diverged:
+            last = diverged[b]
+            results.append(
+                IntegrationDivergedError(
+                    f"non-finite rotor state at sample {last + 1}", last_finite_index=last
+                )
+            )
+            continue
+        results.append(
+            Trajectory(
+                times_s=times,
+                delta=delta[b],
+                omega_dev=omega[b],
+                pm=eq.pm.copy(),
+                pe=pe_out[b],
+                t0_index=t0,
+                tcl_index=tcl,
+                inertia=inertia,
+            )
+        )
+    return results
 
 
 def max_angle_divergence(trajectory: Trajectory) -> float:

@@ -137,3 +137,10 @@ def small_kb(bundled_case, small_plan):
     from tsakit.kb import generate_kb
 
     return generate_kb(bundled_case, small_plan)
+
+
+@pytest.fixture(scope="session")
+def noisy_small_kb(bundled_case, small_plan):
+    from tsakit.kb import generate_kb
+
+    return generate_kb(bundled_case, small_plan, noise_max_rel_error=0.01)

@@ -1,4 +1,4 @@
-"""Pinned output digests: KB text, a model document, a trajectory, a sweep.
+"""Pinned output digests: KB texts, a model document, a trajectory, a sweep.
 
 The determinism tests elsewhere compare two runs of the same code; these
 compare against digests recorded from an earlier commit, so output drift
@@ -24,6 +24,8 @@ from tsakit.network import reduce_to_generators, solve_equilibrium
 from tsakit.simulator import Scenario, simulate, trajectory_to_csv
 
 SMALL_KB_SHA256 = "9686010c3ff49d4e0b7d4ab1f210d5b24687169646a52b18ded5f285ffb22f9a"
+# The same plan with noise_max_rel_error = 0.01.
+NOISY_SMALL_KB_SHA256 = "4978c96a814622833c7c85ce0c61d7e1328d0fdbd33cdbd9a8e9716ed03044d4"
 MODEL_SHA256 = "a94ae7c7f39957a9dcf5bba5c45fbfed52f8cb319c0c58707c1c39dec7dead24"
 # `tsakit simulate --fault-bus 7 --load-scale 1.1` writes this CSV.
 TRAJECTORY_SHA256 = "f6d9354eee1acf34942540d1b145b344eb2afa1f24910ed7387818cec746a611"
@@ -37,6 +39,10 @@ def _sha256(text: str) -> str:
 
 def test_small_kb_text_matches_pinned_digest(small_kb):
     assert _sha256(kb_to_text(small_kb)) == SMALL_KB_SHA256
+
+
+def test_noisy_small_kb_text_matches_pinned_digest(noisy_small_kb):
+    assert _sha256(kb_to_text(noisy_small_kb)) == NOISY_SMALL_KB_SHA256
 
 
 def test_model_document_matches_pinned_digest(small_kb):

@@ -28,15 +28,10 @@ from tsakit.experiments import (
     table6_schemes,
     train_model,
 )
-from tsakit.kb import generate_kb, kb_to_text, save_kb, split
+from tsakit.kb import kb_to_text, save_kb, split
 from tsakit.kernels import GAUSSIAN, POLYNOMIAL
-from tsakit.mkprobit import load_model, predictive_distribution
+from tsakit.mkprobit import load_model, model_to_document, predictive_distribution
 from tsakit.network import bundled_case_path
-
-
-@pytest.fixture(scope="module")
-def noisy_small_kb(bundled_case, small_plan):
-    return generate_kb(bundled_case, small_plan, noise_max_rel_error=0.01)
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +197,16 @@ def test_run_scheme_reports_the_cell(small_kb, small_split):
     assert abs(sum(res.beta) - 1.0) < 1e-12
     assert res.seed == 0
     assert np.isfinite(res.final_bound)
+
+
+def test_training_leaves_the_callers_seed_sequence_alone(small_kb, small_split):
+    # Two fits from one SeedSequence object must be the same fit.
+    scheme = parse_scheme("F1(Kg)+F2(Kg)+F3(Kp)")
+    seed = np.random.SeedSequence(7)
+    first = train_model(small_kb, small_split.train_indices, scheme, seed)
+    second = train_model(small_kb, small_split.train_indices, scheme, seed)
+    assert seed.n_children_spawned == 0
+    assert model_to_document(first) == model_to_document(second)
 
 
 def test_noisy_modes_pick_the_right_sides(small_kb, small_split, noisy_small_kb):
@@ -437,10 +442,13 @@ def test_cli_predict_rejects_garbage(model_file, tmp_path, capsys):
         ("model", b"{", b"\xff{"),
         ("features", b"0", b"\xff0"),
         ("case", b"format", b"\xffformat"),
+        ("traj", b"0.0,1,0.1", b"x,1,0.1"),
+        ("traj", b"t_s", b"\xfft_s"),
     ],
     ids=[
         "kb-plan-field", "kb-noise-field", "kb-discarded-field", "kb-not-utf8",
         "model-degree", "model-beta", "model-not-utf8", "rows-not-utf8", "case-not-utf8",
+        "traj-field", "traj-not-utf8",
     ],
 )
 def test_cli_malformed_input_exits_one(
@@ -448,13 +456,23 @@ def test_cli_malformed_input_exits_one(
 ):
     rows = tmp_path / "rows.txt"
     rows.write_text(" ".join(repr(float(v)) for v in small_kb.feature_matrix[0]) + "\n")
-    paths = {"kb": kb_file, "model": model_file, "features": rows, "case": bundled_case_path()}
+    traj = tmp_path / "traj.csv"
+    traj.write_text("t_s,gen,delta_rad,omega_dev,pm_pu,pe_pu\n0.0,1,0.1,0.0,0.5,0.5\n")
+    paths = {
+        "kb": kb_file,
+        "model": model_file,
+        "features": rows,
+        "case": bundled_case_path(),
+        "traj": traj,
+    }
     data = pathlib.Path(paths[target]).read_bytes()
     assert old in data
     paths[target] = tmp_path / "bad"
     paths[target].write_bytes(data.replace(old, new, 1))
     if target == "case":
         argv = ["simulate", "--case", str(paths["case"]), "--out", str(tmp_path / "t.csv")]
+    elif target == "traj":
+        argv = ["plot", "swing", "--traj", str(paths["traj"]), "--out", str(tmp_path / "s.svg")]
     elif target == "features":
         argv = ["predict", "--model", str(paths["model"]), "--features", str(paths["features"])]
     else:

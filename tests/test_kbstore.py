@@ -327,3 +327,28 @@ def test_rejects_record_missing_fields(small_kb):
     lines[1] = json.dumps({"label": 1, "features": [0.0] * 23})
     with pytest.raises(FormatError, match="incomplete"):
         kb_from_text("\n".join(lines))
+
+
+@pytest.mark.parametrize(
+    "field, value, match",
+    [
+        ("discarded", "abc", "discarded"),
+        ("discarded", ["lv1.05/d0/b7", 3], "discarded"),
+        ("noise_max_rel_error", -3, "noise"),
+        ("noise_max_rel_error", 0.06, "noise"),
+    ],
+    ids=["discarded-string", "discarded-non-string-id", "noise-negative", "noise-above-max"],
+)
+def test_rejects_header_values_no_writer_produces(small_kb, field, value, match):
+    lines = kb_to_text(small_kb).splitlines()
+    header = json.loads(lines[0])
+    header[field] = value
+    with pytest.raises(FormatError, match=match) as excinfo:
+        kb_from_text("\n".join([json.dumps(header)] + lines[1:]))
+    assert excinfo.value.line == 1
+
+
+def test_rejects_header_without_records(small_kb):
+    header = kb_to_text(small_kb).splitlines()[0]
+    with pytest.raises(FormatError, match="no records"):
+        kb_from_text(header + "\n\n")

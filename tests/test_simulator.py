@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from tsakit.errors import IntegrationDivergedError, InvalidArgumentError
+from tsakit.kb import _solve_cells
 from tsakit.network import Equilibrium, reduce_to_generators, solve_equilibrium
 from tsakit.simulator import (
     INSTABILITY_THRESHOLD_DEG,
@@ -17,6 +18,7 @@ from tsakit.simulator import (
     label,
     max_angle_divergence,
     simulate,
+    simulate_batch,
     trajectory_to_csv,
 )
 
@@ -156,6 +158,19 @@ def test_step_halving_changes_little(bundled_case, bundled_equilibrium):
     assert np.max(np.abs(coarse.delta - fine.delta)) < 1e-6
 
 
+def test_rk4_error_falls_sixteenfold_per_halving(bundled_case, bundled_equilibrium):
+    # Fourth order: the gap between s and 2s substeps per cycle shrinks by
+    # 2^4 each time s doubles.
+    scenario = Scenario(load_scale=1.0, dispatch_seed=0, fault_bus=7, observation_horizon_s=5.0)
+    runs = {
+        s: simulate(bundled_case, scenario, bundled_equilibrium, substeps_per_cycle=s).delta
+        for s in (5, 10, 20, 40, 80)
+    }
+    gaps = [np.max(np.abs(runs[s] - runs[2 * s])) for s in (5, 10, 20, 40)]
+    ratios = [coarse / fine for coarse, fine in zip(gaps, gaps[1:])]
+    assert all(14.0 <= r <= 18.0 for r in ratios), ratios
+
+
 def test_simulation_is_deterministic(bundled_case, bundled_equilibrium):
     scenario = Scenario(
         load_scale=1.0, dispatch_seed=0, fault_bus=5, observation_horizon_s=1.0
@@ -187,6 +202,59 @@ def test_divergence_reports_last_finite_sample(bundled_case, bundled_equilibrium
     with pytest.raises(IntegrationDivergedError) as excinfo:
         simulate(bundled_case, scenario, poisoned)
     assert excinfo.value.last_finite_index == -1
+
+
+# --- Batched integration -----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def small_plan_lanes(bundled_case, small_plan):
+    """(scenario, equilibrium) of every solved small-plan cell, in plan order."""
+    return [(c[2], c[3]) for c in _solve_cells(bundled_case, small_plan) if c[3] is not None]
+
+
+def _assert_same_trajectory(a, b):
+    for name in ("times_s", "delta", "omega_dev", "pm", "pe", "inertia"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert (a.t0_index, a.tcl_index) == (b.t0_index, b.tcl_index)
+
+
+@pytest.mark.parametrize("order", ["plan", "reversed"])
+def test_batch_lanes_equal_lone_runs(bundled_case, small_plan_lanes, order):
+    lanes = small_plan_lanes if order == "plan" else small_plan_lanes[::-1]
+    batch = simulate_batch(bundled_case, [s for s, _ in lanes], [eq for _, eq in lanes])
+    assert len(batch) == len(lanes)
+    for (scenario, eq), traj in zip(lanes, batch):
+        _assert_same_trajectory(traj, simulate(bundled_case, scenario, eq))
+
+
+def test_batch_masks_a_diverged_lane(bundled_case, small_plan_lanes):
+    scenarios = [s for s, _ in small_plan_lanes]
+    equilibria = [eq for _, eq in small_plan_lanes]
+    clean = simulate_batch(bundled_case, scenarios, equilibria)
+    poisoned = dataclasses.replace(equilibria[3], delta0=np.array([np.nan, 0.0, 0.0]))
+    mixed = simulate_batch(
+        bundled_case, scenarios[:3] + [scenarios[3]] + scenarios[3:],
+        equilibria[:3] + [poisoned] + equilibria[3:],
+    )
+    assert isinstance(mixed[3], IntegrationDivergedError)
+    assert mixed[3].last_finite_index == -1
+    for traj, ref in zip(mixed[:3] + mixed[4:], clean):
+        _assert_same_trajectory(traj, ref)
+
+
+def test_batch_rejects_mixed_timing_and_bad_shapes(bundled_case, bundled_equilibrium):
+    short = Scenario(load_scale=1.0, dispatch_seed=0, fault_bus=7, observation_horizon_s=1.0)
+    longer = dataclasses.replace(short, observation_horizon_s=2.0)
+    slower = dataclasses.replace(short, fault_clearing_cycles=6)
+    eq = bundled_equilibrium
+    for other in (longer, slower):
+        with pytest.raises(InvalidArgumentError, match="share"):
+            simulate_batch(bundled_case, [short, other], [eq, eq])
+    with pytest.raises(InvalidArgumentError):
+        simulate_batch(bundled_case, [], [])
+    with pytest.raises(InvalidArgumentError):
+        simulate_batch(bundled_case, [short, short], [eq])
 
 
 # --- Stability labelling ------------------------------------------------------
