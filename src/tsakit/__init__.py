@@ -18,6 +18,7 @@ from .network import (
     kron_reduce,
     load_bundled_case,
     load_case,
+    power_tables,
     reduce_to_generators,
     solve_equilibrium,
 )

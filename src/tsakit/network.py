@@ -273,21 +273,36 @@ def reduce_to_generators(
     return ReducedNetwork(y=reduced, generator_buses=tuple(g.bus for g in case.generators))
 
 
-def electrical_power(delta: np.ndarray, reduced: ReducedNetwork, emf: np.ndarray) -> np.ndarray:
+def power_tables(reduced: ReducedNetwork, emf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tables (E_i E_j G_ij, E_i E_j B_ij) that `electrical_power` reads."""
+    emf = np.asarray(emf, dtype=float)
+    if emf.shape != (reduced.y.shape[0],):
+        raise InvalidArgumentError("emf must hold one entry per reduced-network node")
+    ee = np.outer(emf, emf)
+    return ee * reduced.conductance, ee * reduced.susceptance
+
+
+def electrical_power(delta: np.ndarray, eg: np.ndarray, eb: np.ndarray, work=None) -> np.ndarray:
     """Air-gap power at each internal node for rotor angles `delta`.
 
-    Pe_i = sum_j E_i E_j (G_ij cos(d_i - d_j) + B_ij sin(d_i - d_j)),
-    the j = i term being the local E_i^2 G_ii dissipation.
+    Pe_i = sum_j E_i E_j (G_ij cos(d_i - d_j) + B_ij sin(d_i - d_j)) with
+    (eg, eb) from `power_tables`; the j = i term is the E_i^2 G_ii loss.
+    Angles (..., n) take tables (..., n, n); `work` may lend three buffers
+    of that shape, which the integrator reuses across calls.
     """
     delta = np.asarray(delta, dtype=float)
-    emf = np.asarray(emf, dtype=float)
-    if delta.shape != emf.shape or delta.ndim != 1:
-        raise InvalidArgumentError("delta and emf must be matching 1-D arrays")
-    if delta.shape[0] != reduced.y.shape[0]:
-        raise InvalidArgumentError("angle vector does not match the reduced network")
-    ee = np.outer(emf, emf)
-    dd = delta[:, None] - delta[None, :]
-    return np.sum(ee * (reduced.conductance * np.cos(dd) + reduced.susceptance * np.sin(dd)), axis=1)
+    if delta.shape[-1:] != eg.shape[-1:]:
+        raise InvalidArgumentError("angle vector does not match the power tables")
+    if work is None:
+        work = tuple(np.empty(delta.shape + delta.shape[-1:]) for _ in range(3))
+    dd, cos, sin = work
+    np.subtract(delta[..., :, None], delta[..., None, :], out=dd)
+    np.cos(dd, out=cos)
+    np.sin(dd, out=sin)
+    np.multiply(eg, cos, out=cos)
+    np.multiply(eb, sin, out=sin)
+    np.add(cos, sin, out=cos)
+    return np.add.reduce(cos, axis=-1)
 
 
 def solve_equilibrium(
@@ -306,13 +321,10 @@ def solve_equilibrium(
     n = case.n_generators
     if pm.shape != (n,):
         raise InvalidArgumentError("pm must have one entry per generator")
-    emf = case.emf
-    gmat = reduced.conductance
-    bmat = reduced.susceptance
-    ee = np.outer(emf, emf)
+    eg, eb = power_tables(reduced, case.emf)
 
     def mismatch_at(d):
-        return electrical_power(d, reduced, emf)[1:] - pm[1:]
+        return electrical_power(d, eg, eb)[1:] - pm[1:]
 
     delta = np.zeros(n)
     mismatch = mismatch_at(delta)
@@ -328,7 +340,7 @@ def solve_equilibrium(
         if converged:
             polish_left -= 1
         dd = delta[:, None] - delta[None, :]
-        jac_full = ee * (gmat * np.sin(dd) - bmat * np.cos(dd))
+        jac_full = eg * np.sin(dd) - eb * np.cos(dd)
         np.fill_diagonal(jac_full, 0.0)
         np.fill_diagonal(jac_full, -jac_full.sum(axis=1))
         jac = jac_full[1:, 1:]
@@ -367,7 +379,7 @@ def solve_equilibrium(
             residual=residual,
         )
 
-    pe = electrical_power(delta, reduced, emf)
+    pe = electrical_power(delta, eg, eb)
     pm_out = pm.copy()
     pm_out[0] = pe[0]
     return Equilibrium(delta0=delta, pm=pm_out, pe0=pe, network=reduced)

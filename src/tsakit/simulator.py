@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationDivergedError, InvalidArgumentError
-from .network import Equilibrium, NetworkCase, reduce_to_generators
+from .network import Equilibrium, NetworkCase, electrical_power, power_tables, reduce_to_generators
 
 # Output samples per cycle is fixed at one; this is the internal refinement.
 SUBSTEPS_PER_CYCLE = 10
@@ -104,13 +104,12 @@ class StabilityLabel:
 
 
 def _segment_tables(case: NetworkCase, scenarios, equilibria):
-    """Per-segment (E_i E_j G_ij, E_i E_j B_ij) tables, stacked over lanes.
+    """Per-segment `power_tables`, stacked over lanes.
 
     Each table has shape (n_lanes, n_gen, n_gen).  A lane's intact network
     is the one its equilibrium was balanced on; each distinct faulted
     network, one per (load scale, fault bus), is reduced once.
     """
-    ee = np.outer(case.emf, case.emf)
     faulted = {}
     fault_nets = []
     for scenario, eq in zip(scenarios, equilibria):
@@ -124,26 +123,14 @@ def _segment_tables(case: NetworkCase, scenarios, equilibria):
             )
         fault_nets.append(faulted[key])
 
+    emf = case.emf
+
     def stack(nets):
-        return (
-            np.stack([ee * net.conductance for net in nets]),
-            np.stack([ee * net.susceptance for net in nets]),
-        )
+        eg, eb = zip(*(power_tables(net, emf) for net in nets))
+        return np.stack(eg), np.stack(eb)
 
     pre = stack([eq.network for eq in equilibria])
     return [pre, stack(fault_nets), pre]
-
-
-def _pe(delta: np.ndarray, eg: np.ndarray, eb: np.ndarray, work) -> np.ndarray:
-    """Electrical power of every lane; `work` holds three (B, n, n) buffers."""
-    dd, cos, sin = work
-    np.subtract(delta[:, :, None], delta[:, None, :], out=dd)
-    np.cos(dd, out=cos)
-    np.sin(dd, out=sin)
-    np.multiply(eg, cos, out=cos)
-    np.multiply(eb, sin, out=sin)
-    np.add(cos, sin, out=cos)
-    return np.add.reduce(cos, axis=2)
 
 
 def simulate(
@@ -248,24 +235,24 @@ def simulate_batch(
                 break
         delta[:, k] = d
         omega[:, k] = w
-        pe_out[:, k] = _pe(d, eg, eb, work)
+        pe_out[:, k] = electrical_power(d, eg, eb, work)
         if k == n_samples - 1:
             break
         for _ in range(substeps_per_cycle):
             k1d = w
-            k1w = (pm - _pe(d, eg, eb, work) - damping * w) * minv
+            k1w = (pm - electrical_power(d, eg, eb, work) - damping * w) * minv
             d2 = d + 0.5 * h * k1d
             w2 = w + 0.5 * h * k1w
             k2d = w2
-            k2w = (pm - _pe(d2, eg, eb, work) - damping * w2) * minv
+            k2w = (pm - electrical_power(d2, eg, eb, work) - damping * w2) * minv
             d3 = d + 0.5 * h * k2d
             w3 = w + 0.5 * h * k2w
             k3d = w3
-            k3w = (pm - _pe(d3, eg, eb, work) - damping * w3) * minv
+            k3w = (pm - electrical_power(d3, eg, eb, work) - damping * w3) * minv
             d4 = d + h * k3d
             w4 = w + h * k3w
             k4d = w4
-            k4w = (pm - _pe(d4, eg, eb, work) - damping * w4) * minv
+            k4w = (pm - electrical_power(d4, eg, eb, work) - damping * w4) * minv
             d = d + (h / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
             w = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
 

@@ -172,7 +172,7 @@ def test_probit_suite(toy_grams, toy_dataset):
     elapsed = time.perf_counter() - started
     ok = (
         worst_sum < 1e-6
-        and worst_closed < 1e-4
+        and worst_closed < 1e-12
         and worst_consistency < 1e-9
         and trained_gap < 1e-9
         and elapsed < 30.0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr
 from scipy.stats import norm
 
 from tsakit.errors import (
@@ -98,9 +98,21 @@ def test_two_class_moments_have_closed_form(a):
     y, log_z = _truncated_moments(m, np.array([0]))
     z_exact = ndtr(a / np.sqrt(2.0))
     hazard = norm.pdf(a / np.sqrt(2.0)) / np.sqrt(2.0) / z_exact
-    assert_allclose(np.exp(log_z[0]), z_exact, rtol=0, atol=1e-10)
-    assert_allclose(y[1, 0], -hazard, rtol=0, atol=1e-8)
-    assert_allclose(y[0, 0], a + hazard, rtol=0, atol=1e-8)
+    assert_allclose(log_z[0], log_ndtr(a / np.sqrt(2.0)), rtol=0, atol=1e-12)
+    assert_allclose(y[1, 0], -hazard, rtol=1e-12, atol=0)
+    assert_allclose(y[0, 0], a + hazard, rtol=1e-12, atol=1e-12)
+
+
+def test_two_class_moments_hold_from_deep_tail_to_certainty():
+    # The same identities over d in [-30, 8], where Z falls to 1e-100; the
+    # hazard is formed in log space so the oracle itself stays exact.
+    d = np.linspace(-30.0, 8.0, 381)
+    y, log_z = _truncated_moments(np.vstack([d, np.zeros_like(d)]), np.zeros(d.size, dtype=int))
+    x = d / np.sqrt(2.0)
+    hazard = np.exp(norm.logpdf(x) - log_ndtr(x)) / np.sqrt(2.0)
+    assert_allclose(log_z, log_ndtr(x), rtol=0, atol=1e-12)
+    assert_allclose(-y[1], hazard, rtol=1e-12, atol=0)
+    assert_allclose(y[0], d + hazard, rtol=1e-12, atol=1e-12)
 
 
 def test_auxiliary_update_flags_non_finite_state(toy_grams, toy_dataset):
@@ -292,8 +304,21 @@ def test_two_class_probability_closed_form(a):
     mean = np.array([[a, 0.0]])
     spread = np.ones((1, 2))
     probs = _quadrature_probabilities(mean, spread)
-    assert_allclose(probs[0, 0], ndtr(a / np.sqrt(2.0)), rtol=0, atol=1e-10)
-    assert_allclose(probs[0].sum(), 1.0, rtol=0, atol=1e-10)
+    assert_allclose(probs[0, 0], ndtr(a / np.sqrt(2.0)), rtol=1e-12, atol=0)
+    assert_allclose(probs[0].sum(), 1.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("ratio", [1.0, 1.5, 2.0])
+def test_two_class_probability_with_unequal_spreads(ratio):
+    # P(class 0) = Phi((m0 - m1) / sqrt(v0^2 + v1^2)).  The 128-node rule
+    # holds this to 1e-12 for spread ratios up to 2 (at 3 it is near 1e-10).
+    d = np.linspace(-8.0, 8.0, 161)
+    for v0, v1 in [(1.0, ratio), (ratio, 1.0), (2.2, 2.2 * ratio), (1.3 * ratio, 1.3)]:
+        mean = np.column_stack([d * np.hypot(v0, v1), np.zeros_like(d)])
+        spread = np.column_stack([np.full_like(d, v0), np.full_like(d, v1)])
+        probs = _quadrature_probabilities(mean, spread)
+        assert_allclose(probs[:, 0], ndtr(d), rtol=1e-12, atol=0)
+        assert_allclose(probs[:, 1], ndtr(-d), rtol=1e-12, atol=0)
 
 
 def test_raw_probabilities_sum_to_one():

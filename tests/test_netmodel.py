@@ -26,6 +26,7 @@ from tsakit.network import (
     kron_reduce,
     load_case,
     parse_case,
+    power_tables,
     reduce_to_generators,
     solve_equilibrium,
 )
@@ -159,7 +160,7 @@ def test_electrical_power_matches_scalar_formula():
             )
         return total
 
-    pe = electrical_power(delta, reduced, emf)
+    pe = electrical_power(delta, *power_tables(reduced, emf))
     assert_allclose(pe, [scalar_pe(0), scalar_pe(1)], rtol=0, atol=1e-14)
 
 
@@ -172,7 +173,7 @@ def test_lossless_power_sums_to_zero(n, seed):
     reduced = ReducedNetwork(y=1j * b, generator_buses=tuple(range(n)))
     emf = rng.uniform(0.9, 1.1, size=n)
     delta = rng.uniform(-2.0, 2.0, size=n)
-    pe = electrical_power(delta, reduced, emf)
+    pe = electrical_power(delta, *power_tables(reduced, emf))
     assert abs(pe.sum()) < 1e-10
 
 
@@ -190,17 +191,36 @@ def test_power_is_invariant_to_common_angle_shift(n, seed, shift):
     reduced = ReducedNetwork(y=y, generator_buses=tuple(range(n)))
     emf = rng.uniform(0.9, 1.1, size=n)
     delta = rng.uniform(-2.0, 2.0, size=n)
-    pe = electrical_power(delta, reduced, emf)
-    pe_shifted = electrical_power(delta + shift, reduced, emf)
+    pe = electrical_power(delta, *power_tables(reduced, emf))
+    pe_shifted = electrical_power(delta + shift, *power_tables(reduced, emf))
     assert_allclose(pe_shifted, pe, rtol=0, atol=1e-9)
 
 
 def test_electrical_power_validates_shapes(pair_case):
     reduced = reduce_to_generators(pair_case)
     with pytest.raises(InvalidArgumentError):
-        electrical_power(np.zeros(3), reduced, np.ones(3))
+        electrical_power(np.zeros(3), *power_tables(reduced, np.ones(2)))
     with pytest.raises(InvalidArgumentError):
-        electrical_power(np.zeros(2), reduced, np.ones(3))
+        electrical_power(np.zeros(2), *power_tables(reduced, np.ones(3)))
+
+
+@settings(deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_batched_power_rows_equal_lone_calls(n, lanes, seed):
+    # The integrator evaluates (B, n) angles over stacked (B, n, n) tables;
+    # each lane must equal its own 1-D call bit for bit.
+    rng = np.random.default_rng(seed)
+    eg = rng.normal(size=(lanes, n, n))
+    eb = rng.normal(size=(lanes, n, n))
+    delta = rng.uniform(-4.0, 4.0, size=(lanes, n))
+    batched = electrical_power(delta, eg, eb)
+    assert batched.shape == (lanes, n)
+    for b in range(lanes):
+        assert np.array_equal(batched[b], electrical_power(delta[b], eg[b], eb[b]))
 
 
 # --- Equilibrium ------------------------------------------------------------
@@ -225,7 +245,7 @@ def test_equilibrium_balances_all_machines(lossy_case):
     # Non-slack dispatch passes through untouched; the slack absorbs losses.
     assert eq.pm[1] == pm[1]
     assert eq.pm[0] != pm[0]
-    assert_allclose(eq.pe0, electrical_power(eq.delta0, reduced, lossy_case.emf))
+    assert_allclose(eq.pe0, electrical_power(eq.delta0, *power_tables(reduced, lossy_case.emf)))
 
 
 def test_equilibrium_is_reproducible(lossy_case):
@@ -248,6 +268,12 @@ def test_equilibrium_rejects_wrong_dispatch_shape(pair_case):
     reduced = reduce_to_generators(pair_case)
     with pytest.raises(InvalidArgumentError):
         solve_equilibrium(pair_case, reduced, np.zeros(3))
+
+
+def test_equilibrium_rejects_a_reduced_network_of_another_size(pair_case, bundled_case):
+    three_machine = reduce_to_generators(bundled_case)
+    with pytest.raises(InvalidArgumentError):
+        solve_equilibrium(pair_case, three_machine, np.array([0.5, -0.5]))
 
 
 # --- Case construction and validation ---------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import math
 
 import numpy as np
 import pytest
@@ -147,6 +148,30 @@ def test_undamped_lossless_run_conserves_energy(pair_case):
     potential = -b12 * np.cos(traj.delta[:, 0] - traj.delta[:, 1])
     energy = kinetic + potential
     assert np.max(np.abs(energy - energy[0])) < 1e-6
+
+
+@pytest.mark.parametrize("p, expected_cycles", [(0.5, 19.33), (1.0, 10.87), (1.5, 6.46)])
+def test_equal_area_critical_clearing_time(pair_case, p, expected_cycles):
+    # Equal-area criterion on the lossless pair: a terminal fault at bus 1
+    # cuts the transfer, so the relative angle accelerates freely under p,
+    # M d'' = p with M = m1 m2 / (m1 + m2), until cleared; the pre-fault
+    # curve 2.5 sin(d) then has to absorb the kinetic energy before
+    # d_max = pi - d0.  Labels must flip across t_cr within one cycle.
+    reduced = reduce_to_generators(pair_case)
+    eq = solve_equilibrium(pair_case, reduced, np.array([p, -p]))
+    p_max = 2.5
+    m1, m2 = pair_case.inertia
+    m_eq = m1 * m2 / (m1 + m2)
+    d0 = math.asin(p / p_max)
+    d_max = math.pi - d0
+    d_cr = math.acos((p * (d_max - d0) + p_max * math.cos(d_max)) / p_max)
+    t_cr_cycles = math.sqrt(2.0 * m_eq * (d_cr - d0) / p) * pair_case.base_frequency_hz
+    assert t_cr_cycles == pytest.approx(expected_cycles, abs=0.005)
+    for cycles, expected in ((math.floor(t_cr_cycles), 1), (math.ceil(t_cr_cycles), -1)):
+        scenario = Scenario(
+            load_scale=1.0, dispatch_seed=0, fault_bus=1, fault_clearing_cycles=cycles
+        )
+        assert label(simulate(pair_case, scenario, eq)).value == expected, cycles
 
 
 def test_step_halving_changes_little(bundled_case, bundled_equilibrium):
