@@ -12,7 +12,6 @@ from .network import (
     Generator,
     Load,
     NetworkCase,
-    ReducedNetwork,
     electrical_power,
     fold_loads,
     kron_reduce,

@@ -22,8 +22,6 @@ from .simulator import Trajectory
 
 FEATURE_NAMES = tuple(f"Tz{i}" for i in range(1, 24))
 
-SUBSET_NAMES = ("F1", "F2", "F3")
-
 # Column layout of the 23-vector, by subset.
 SUBSET_SLICES = {"F1": slice(0, 7), "F2": slice(7, 14), "F3": slice(14, 23)}
 

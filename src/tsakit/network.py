@@ -145,39 +145,15 @@ class NetworkCase:
 
 
 @dataclass(frozen=True)
-class ReducedNetwork:
-    """Admittance matrix seen from the generator internal nodes."""
-
-    y: np.ndarray  # complex, (n_gen, n_gen)
-    generator_buses: tuple[int, ...]
-
-    def __post_init__(self):
-        y = np.asarray(self.y)
-        if y.ndim != 2 or y.shape[0] != y.shape[1]:
-            raise InvalidArgumentError("reduced admittance must be square")
-        if y.shape[0] != len(self.generator_buses):
-            raise InvalidArgumentError("admittance size must match generator count")
-
-    @property
-    def conductance(self) -> np.ndarray:
-        return self.y.real
-
-    @property
-    def susceptance(self) -> np.ndarray:
-        return self.y.imag
-
-
-@dataclass(frozen=True)
 class Equilibrium:
     """Steady state: rotor angles plus the matched mechanical injections.
 
-    `network` is the reduced network the injections were balanced on.
+    `network` is the reduced admittance the injections were balanced on.
     """
 
     delta0: np.ndarray
     pm: np.ndarray
-    pe0: np.ndarray
-    network: ReducedNetwork
+    network: np.ndarray  # complex, (n_gen, n_gen)
 
 
 def fold_loads(case: NetworkCase, load_scale: float = 1.0) -> np.ndarray:
@@ -257,8 +233,8 @@ def reduce_to_generators(
     case: NetworkCase,
     load_scale: float = 1.0,
     fault_bus: int | None = None,
-) -> ReducedNetwork:
-    """Reduce the full network to the generator internal nodes.
+) -> np.ndarray:
+    """Admittance matrix seen from the generator internal nodes.
 
     With `fault_bus` set, that bus is grounded through FAULT_CONDUCTANCE
     before the reduction, which models a bolted three-phase fault.
@@ -269,17 +245,19 @@ def reduce_to_generators(
         ybus = ybus.copy()
         ybus[k, k] += FAULT_CONDUCTANCE
     aug, internal = _augmented_matrix(case, ybus)
-    reduced = kron_reduce(aug, internal)
-    return ReducedNetwork(y=reduced, generator_buses=tuple(g.bus for g in case.generators))
+    return kron_reduce(aug, internal)
 
 
-def power_tables(reduced: ReducedNetwork, emf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def power_tables(reduced: np.ndarray, emf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The tables (E_i E_j G_ij, E_i E_j B_ij) that `electrical_power` reads."""
+    reduced = np.asarray(reduced)
     emf = np.asarray(emf, dtype=float)
-    if emf.shape != (reduced.y.shape[0],):
+    if reduced.ndim != 2 or reduced.shape[0] != reduced.shape[1]:
+        raise InvalidArgumentError("reduced admittance must be square")
+    if emf.shape != (reduced.shape[0],):
         raise InvalidArgumentError("emf must hold one entry per reduced-network node")
     ee = np.outer(emf, emf)
-    return ee * reduced.conductance, ee * reduced.susceptance
+    return ee * reduced.real, ee * reduced.imag
 
 
 def electrical_power(delta: np.ndarray, eg: np.ndarray, eb: np.ndarray, work=None) -> np.ndarray:
@@ -307,7 +285,7 @@ def electrical_power(delta: np.ndarray, eg: np.ndarray, eb: np.ndarray, work=Non
 
 def solve_equilibrium(
     case: NetworkCase,
-    reduced: ReducedNetwork,
+    reduced: np.ndarray,
     pm: np.ndarray,
 ) -> Equilibrium:
     """Locate the pre-fault operating point for a mechanical dispatch.
@@ -379,10 +357,9 @@ def solve_equilibrium(
             residual=residual,
         )
 
-    pe = electrical_power(delta, eg, eb)
     pm_out = pm.copy()
-    pm_out[0] = pe[0]
-    return Equilibrium(delta0=delta, pm=pm_out, pe0=pe, network=reduced)
+    pm_out[0] = electrical_power(delta, eg, eb)[0]
+    return Equilibrium(delta0=delta, pm=pm_out, network=reduced)
 
 
 # ---------------------------------------------------------------------------

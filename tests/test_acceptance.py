@@ -260,16 +260,14 @@ def test_simulator_suite(bundled_case, pair_case):
     # Undamped lossless release: the energy integral must stay flat.
     pair_reduced = reduce_to_generators(pair_case, 1.0)
     delta_start = np.array([0.4, -0.4])
-    pair_eq_like = Equilibrium(
-        delta0=delta_start, pm=np.zeros(2), pe0=np.zeros(2), network=pair_reduced
-    )
+    pair_eq_like = Equilibrium(delta0=delta_start, pm=np.zeros(2), network=pair_reduced)
     swingy = simulate(
         pair_case,
         Scenario(load_scale=1.0, dispatch_seed=0, fault_bus=None),
         pair_eq_like,
     )
     m = pair_case.inertia
-    b12 = float(pair_reduced.susceptance[0, 1])
+    b12 = float(pair_reduced.imag[0, 1])
     kinetic = 0.5 * np.sum(m * swingy.omega_dev**2, axis=1)
     potential = -b12 * np.prod(pair_case.emf) * np.cos(
         swingy.delta[:, 0] - swingy.delta[:, 1]

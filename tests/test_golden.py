@@ -9,8 +9,10 @@ last bits of the model document and would need them recorded afresh.
 A digest only says "bytes differ".  The gates say "still equivalent":
 KB texts against committed references (plan, ids, labels and discards
 exact, features within rtol 1e-12), and the golden model's held-out
-probabilities within 1e-10 of recorded values.  A change that moves
-output bytes on purpose re-pins a digest only while its gate passes.
+probabilities within 1e-10 of recorded values, and the table4 sweep's
+per-cell accuracy, iteration count and convergence flag equal to recorded
+values.  A change that moves output bytes on purpose re-pins a digest only
+while its gate passes.
 """
 
 import hashlib
@@ -42,6 +44,18 @@ MODEL_SHA256 = "a25cf2cd4fda352395893dc4d1535ad6b86c409abd7dd70aadcec2d9feb95bdb
 TRAJECTORY_SHA256 = "f6d9354eee1acf34942540d1b145b344eb2afa1f24910ed7387818cec746a611"
 # table4 over seed 0 at n_train = 12, no KB hash line.
 SWEEP_CSV_SHA256 = "eea2949c58941de18fbb7eaa6f14c36563a911ec7ca1ca4e1496cec5bd6de7be"
+# (accuracy, iterations, converged) of that sweep's cells in table4 order;
+# five fits meet the bound tolerance, so a change in convergence shows.
+SWEEP_CELLS = [
+    (4 / 6, 52, True),
+    (4 / 6, 45, True),
+    (4 / 6, 41, True),
+    (4 / 6, 53, True),
+    (4 / 6, 46, True),
+    (4 / 6, 200, False),
+    (4 / 6, 200, False),
+    (4 / 6, 200, False),
+]
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 # Written by `tsakit gen-kb --seed 0`; read here, never rewritten.
@@ -129,3 +143,9 @@ def test_trajectory_csv_matches_pinned_digest(bundled_case):
 def test_sweep_csv_matches_pinned_digest(small_kb):
     report = sweep(small_kb, SCHEME_TABLES["table4"](), [0], n_train=12)
     assert _sha256(report_to_csv(report)) == SWEEP_CSV_SHA256
+
+
+def test_sweep_cells_match_reference(small_kb):
+    report = sweep(small_kb, SCHEME_TABLES["table4"](), [0], n_train=12)
+    cells = [(r.accuracy, r.iterations, r.converged) for r in report.results]
+    assert cells == SWEEP_CELLS

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -135,10 +136,8 @@ def test_undamped_lossless_run_conserves_energy(pair_case):
     # Released from rest away from equilibrium with no damping and no
     # conductance anywhere, the oscillation must keep its energy.
     reduced = reduce_to_generators(pair_case)
-    b12 = reduced.susceptance[0, 1]
-    start = Equilibrium(
-        delta0=np.array([0.4, -0.4]), pm=np.zeros(2), pe0=np.zeros(2), network=reduced
-    )
+    b12 = reduced.imag[0, 1]
+    start = Equilibrium(delta0=np.array([0.4, -0.4]), pm=np.zeros(2), network=reduced)
     scenario = Scenario(
         load_scale=1.0, dispatch_seed=0, fault_bus=None, observation_horizon_s=5.0
     )
@@ -268,6 +267,23 @@ def test_batch_masks_a_diverged_lane(bundled_case, small_plan_lanes):
         _assert_same_trajectory(traj, ref)
 
 
+def test_batch_reports_a_lane_that_overflows_mid_run(bundled_case, small_plan_lanes):
+    # A finite start whose acceleration overflows in the first RK4 step:
+    # sample 0 is the last finite one.  The overflow must neither warn nor
+    # touch the other lanes.
+    scenarios = [s for s, _ in small_plan_lanes]
+    equilibria = [eq for _, eq in small_plan_lanes]
+    clean = simulate_batch(bundled_case, scenarios, equilibria)
+    equilibria[3] = dataclasses.replace(equilibria[3], pm=np.array([1e308, 0.0, -1e308]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mixed = simulate_batch(bundled_case, scenarios, equilibria)
+    assert isinstance(mixed[3], IntegrationDivergedError)
+    assert mixed[3].last_finite_index == 0
+    for traj, ref in zip(mixed[:3] + mixed[4:], clean[:3] + clean[4:]):
+        _assert_same_trajectory(traj, ref)
+
+
 def test_batch_rejects_mixed_timing_and_bad_shapes(bundled_case, bundled_equilibrium):
     short = Scenario(load_scale=1.0, dispatch_seed=0, fault_bus=7, observation_horizon_s=1.0)
     longer = dataclasses.replace(short, observation_horizon_s=2.0)
@@ -312,13 +328,18 @@ def test_label_thresholds():
 
 
 def test_label_strictness_at_measured_spread():
+    # The smallest radian spread whose degree value exceeds the threshold
+    # is the first one labelled unstable; the spread just below is stable.
+    r = np.deg2rad(INSTABILITY_THRESHOLD_DEG)
+    while np.degrees(r) <= INSTABILITY_THRESHOLD_DEG:
+        r = np.nextafter(r, np.inf)
     delta = np.zeros((12, 2))
-    delta[5, 1] = 1.0
+    delta[5, 1] = r
     traj = make_trajectory(delta)
-    measured = max_angle_divergence(traj)
-    # Threshold equal to the measured spread: stable by the strict rule.
-    assert label(traj, threshold_deg=measured).value == 1
-    assert label(traj, threshold_deg=np.nextafter(measured, 0.0)).value == -1
+    assert max_angle_divergence(traj) > INSTABILITY_THRESHOLD_DEG
+    assert label(traj).value == -1
+    delta[5, 1] = np.nextafter(r, 0.0)
+    assert label(make_trajectory(delta)).value == 1
 
 
 def test_spread_ignores_pre_fault_window():
