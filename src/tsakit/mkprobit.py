@@ -1,19 +1,19 @@
-"""Variational multiple-kernel multinomial probit classification.
+"""Variational multiple-kernel probit classification of two classes.
 
 The model couples S kernel spaces through a convex mixture of their Gram
 matrices.  Class c keeps a regressor w_c over the N training samples with
 an automatic-relevance Gamma prior on each weight's precision; latent
 auxiliary responses y_cn carry the probit link: sample n belongs to the
-class whose auxiliary response is largest.
+class whose auxiliary response is largest.  Stability assessment has two
+classes (stable, unstable), for which the link has closed forms.
 
 Inference is mean-field coordinate ascent.  Regressor posteriors are
-Gaussian with covariance (K K' + A_c)^-1, auxiliary posteriors are cone
-truncated Gaussians whose means are computed by Gauss-Hermite quadrature
-over a shared standard-normal variable, scale posteriors stay Gamma, and
-the mixture weights are refreshed by importance sampling from a Dirichlet
-proposal weighted by the model fit.  The variational lower bound below is
-exact for the partially maximised auxiliary factor, so fixed-mixture
-sweeps can never decrease it.
+Gaussian with covariance (K K' + A_c)^-1, auxiliary posteriors are
+truncated Gaussians whose means shift by a normal hazard, scale
+posteriors stay Gamma, and the mixture weights are refreshed by
+importance sampling from a Dirichlet proposal weighted by the model fit.
+The variational lower bound below is exact for the partially maximised
+auxiliary factor, so fixed-mixture sweeps can never decrease it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import digamma, gammaln, log_ndtr
+from scipy.special import digamma, gammaln, log_ndtr, ndtr
 
 from .errors import (
     DegenerateLabelsError,
@@ -33,11 +33,9 @@ from .errors import (
     read_text,
 )
 from .features import FEATURE_NAMES, Standardizer, subset_columns
-from .kernels import KernelSpec, compose, cross_gram
+from .kernels import KernelSpec, compose, cross_gram, validate_simplex
 
-# 128 nodes keep the probability sum rule below 1e-9 even for wide
-# predictive spreads; 64 starts to leak around 1e-6.
-GH_NODES = 128
+N_CLASSES = 2
 JITTER = 1e-8
 JITTER_ESCALATION = (0.0, 1e-6, 1e-4)
 GAMMA_PRIOR_SHAPE = 1e-3
@@ -48,10 +46,6 @@ MAX_ITERS = 200
 BOUND_REL_TOL = 1e-5
 _LOG_2PI = math.log(2.0 * math.pi)
 
-_gh_x, _gh_w = np.polynomial.hermite.hermgauss(GH_NODES)
-_U = np.sqrt(2.0) * _gh_x       # nodes of a standard normal expectation
-_UW = _gh_w / np.sqrt(np.pi)    # matching weights, summing to one
-
 
 @dataclass
 class ProbitMKLState:
@@ -59,8 +53,7 @@ class ProbitMKLState:
 
     grams: tuple                 # S base Gram matrices, each (N, N)
     beta: np.ndarray             # (S,) mixture weights on the simplex
-    targets: np.ndarray          # (N,) class indices
-    n_classes: int
+    targets: np.ndarray          # (N,) class indices, 0 or 1
     k_eff: np.ndarray            # composite + jitter on the diagonal
     k_eff_sq: np.ndarray         # k_eff @ k_eff, reused by bound and solves
     w_mean: np.ndarray           # (C, N)
@@ -85,22 +78,20 @@ class ProbitMKLState:
         self.beta = np.asarray(beta, dtype=float)
 
 
-def init_state(grams, targets, n_classes: int | None = None) -> ProbitMKLState:
+def init_state(grams, targets) -> ProbitMKLState:
     """Set up posteriors at their documented starting point.
 
-    Regressor means start at zero with unit covariance, scales at their
-    Gamma prior, auxiliary means at +1 for the sample's own class and -1
-    elsewhere, and the mixture uniform over the kernel spaces.
+    Targets are class indices 0 or 1, both present.  Regressor means
+    start at zero with unit covariance, scales at their Gamma prior,
+    auxiliary means at +1 for the sample's own class and -1 for the other,
+    and the mixture uniform over the kernel spaces.
     """
     targets = np.asarray(targets, dtype=int)
     if targets.ndim != 1 or targets.size == 0:
         raise InvalidArgumentError("targets must be a non-empty 1-D integer array")
-    present = np.unique(targets)
-    if n_classes is None:
-        n_classes = int(present.max()) + 1
-    if present.min() < 0 or present.max() >= n_classes:
-        raise InvalidArgumentError("targets must lie in [0, n_classes)")
-    if present.size < 2:
+    if not np.all((targets == 0) | (targets == 1)):
+        raise InvalidArgumentError("targets must be class indices 0 or 1")
+    if np.unique(targets).size < 2:
         raise DegenerateLabelsError("training data holds fewer than two classes")
     n = targets.size
     s = len(grams)
@@ -108,20 +99,19 @@ def init_state(grams, targets, n_classes: int | None = None) -> ProbitMKLState:
         if np.asarray(g).shape != (n, n):
             raise InvalidArgumentError("each Gram matrix must be N x N for N samples")
 
-    y = np.full((n_classes, n), -1.0)
+    y = np.full((N_CLASSES, n), -1.0)
     y[targets, np.arange(n)] = 1.0
     state = ProbitMKLState(
         grams=tuple(np.asarray(g, dtype=float) for g in grams),
         beta=np.full(s, 1.0 / s),
         targets=targets,
-        n_classes=n_classes,
         k_eff=np.empty((n, n)),
         k_eff_sq=np.empty((n, n)),
-        w_mean=np.zeros((n_classes, n)),
-        w_cov=np.broadcast_to(np.eye(n), (n_classes, n, n)).copy(),
-        w_logdet=np.zeros(n_classes),
-        scale_shape=np.full((n_classes, n), GAMMA_PRIOR_SHAPE),
-        scale_rate=np.full((n_classes, n), GAMMA_PRIOR_RATE),
+        w_mean=np.zeros((N_CLASSES, n)),
+        w_cov=np.broadcast_to(np.eye(n), (N_CLASSES, n, n)).copy(),
+        w_logdet=np.zeros(N_CLASSES),
+        scale_shape=np.full((N_CLASSES, n), GAMMA_PRIOR_SHAPE),
+        scale_rate=np.full((N_CLASSES, n), GAMMA_PRIOR_RATE),
         y_mean=y,
         rho=np.full(s, RHO_BASE),
     )
@@ -149,7 +139,7 @@ def _solve_spd(precision: np.ndarray):
 def update_regressors_and_scales(state: ProbitMKLState) -> None:
     """Refresh the Gaussian regressor posteriors, then their ARD scales."""
     kk = state.k_eff_sq
-    for c in range(state.n_classes):
+    for c in range(N_CLASSES):
         precision = kk + np.diag(state.scale_shape[c] / state.scale_rate[c])
         cov, logdet, extra = _solve_spd(precision)
         if extra > 0.0:
@@ -165,36 +155,22 @@ def update_regressors_and_scales(state: ProbitMKLState) -> None:
 
 
 def _truncated_moments(m: np.ndarray, targets: np.ndarray):
-    """Means of cone-truncated Gaussians, plus log truncation mass.
+    """Means of truncated Gaussians, plus log truncation mass.
 
-    For sample n with true class i the auxiliary vector is N(m_n, I)
-    conditioned on y_in > y_jn for every other class.  Writing
-    u = y_in - m_in, each rival mean picks up the expected hazard
+    For sample n with true class i and rival j the auxiliary vector is
+    N(m_n, I) conditioned on y_in > y_jn.  With x = (m_in - m_jn) / sqrt(2),
 
-        E[y_jn] = m_jn - E_u[ pdf_j prod_{l != i,j} cdf_l ] / Z_n,
-        Z_n     = E_u[ prod_{l != i} cdf_l ],
+        Z_n     = Phi(x),
+        E[y_in] = m_in + h,   E[y_jn] = m_jn - h,   h = phi(x) / (sqrt(2) Phi(x)),
 
-    with pdf/cdf evaluated at u + m_in - m_ln, and the true class absorbs
-    the sum of corrections so that the per-sample mean shift is zero.
+    so the per-sample mean shift is zero.  log Z comes from `log_ndtr`,
+    which stays exact deep in the tail, and the hazard is formed from it.
     """
-    n_classes, n = m.shape
-    idx = np.arange(n)
-    m_true = m[targets, idx]
-    diff = m_true[None, :] - m                      # zero on the true class row
-    arg = _U[None, None, :] + diff[:, :, None]      # (C, N, GH)
-    log_cdf = log_ndtr(arg)
-    rival = np.ones((n_classes, n), dtype=bool)
-    rival[targets, idx] = False
-    sum_log = np.where(rival[:, :, None], log_cdf, 0.0).sum(axis=0)  # (N, GH)
-    z = np.maximum(np.exp(sum_log) @ _UW, 1e-300)
-    log_z = np.log(z)
-    log_pdf = -0.5 * arg**2 - 0.5 * _LOG_2PI
-    leave_one_out = sum_log[None, :, :] - np.where(rival[:, :, None], log_cdf, 0.0)
-    numer = np.exp(log_pdf + leave_one_out) @ _UW   # (C, N)
-    corr = np.where(rival, numer / z[None, :], 0.0)
-    y = m - corr
-    y[targets, idx] = m_true + corr.sum(axis=0)
-    return y, log_z
+    sign = 1.0 - 2.0 * targets                      # +1 where class 0 is true
+    x = sign * (m[0] - m[1]) / math.sqrt(2.0)
+    log_z = log_ndtr(x)
+    shift = sign * np.exp(-0.5 * x**2 - 0.5 * _LOG_2PI - log_z) / math.sqrt(2.0)
+    return m + np.stack([shift, -shift]), log_z
 
 
 def update_auxiliaries(state: ProbitMKLState) -> None:
@@ -251,7 +227,7 @@ def lower_bound(state: ProbitMKLState) -> float:
     m = state.w_mean @ state.k_eff
     _, log_z = _truncated_moments(m, state.targets)
     quad_penalty = sum(
-        float(np.sum(state.w_cov[c] * state.k_eff_sq)) for c in range(state.n_classes)
+        float(np.sum(state.w_cov[c] * state.k_eff_sq)) for c in range(N_CLASSES)
     )
     bound = float(log_z.sum()) - 0.5 * quad_penalty
 
@@ -260,7 +236,7 @@ def lower_bound(state: ProbitMKLState) -> float:
     w_sq = state.w_mean**2 + np.einsum("cii->ci", state.w_cov)
     n = state.n_samples
     bound += 0.5 * float(np.sum(e_log_alpha)) - 0.5 * float(np.sum(e_alpha * w_sq))
-    bound += 0.5 * float(state.w_logdet.sum()) + 0.5 * n * state.n_classes
+    bound += 0.5 * float(state.w_logdet.sum()) + 0.5 * n * N_CLASSES
 
     a0, b0 = GAMMA_PRIOR_SHAPE, GAMMA_PRIOR_RATE
     prior = (a0 - 1.0) * e_log_alpha - b0 * e_alpha + a0 * math.log(b0) - gammaln(a0)
@@ -350,10 +326,6 @@ class TrainedModel:
     lb_trace: tuple
 
     @property
-    def n_classes(self) -> int:
-        return int(self.w_mean.shape[0])
-
-    @property
     def n_features(self) -> int:
         """Width of the raw rows the model reads.
 
@@ -367,37 +339,25 @@ class TrainedModel:
 
 def _composite_rows(model: TrainedModel, raw: np.ndarray) -> np.ndarray:
     """Mixture kernel rows between query samples and the training set."""
-    rows = None
-    for name, std, spec, train_x, weight in zip(
-        model.subset_names,
-        model.standardizers,
-        model.kernel_specs,
-        model.train_features,
-        model.beta,
-    ):
-        x = std.transform(raw[:, subset_columns(name)])
-        part = weight * cross_gram(x, train_x, spec)
-        rows = part if rows is None else rows + part
-    return rows
+    parts = [
+        cross_gram(std.transform(raw[:, subset_columns(name)]), train_x, spec)
+        for name, std, spec, train_x in zip(
+            model.subset_names, model.standardizers, model.kernel_specs, model.train_features
+        )
+    ]
+    return compose(parts, model.beta)
 
 
-def _quadrature_probabilities(mean: np.ndarray, spread: np.ndarray) -> np.ndarray:
-    """P(class c) = E_u prod_{j != c} Phi((u v_c + m_c - m_j) / v_j)."""
-    n, c = mean.shape
-    probs = np.empty((n, c))
-    for ci in range(c):
-        shifted = _U[None, :, None] * spread[:, None, ci : ci + 1]  # (n, GH, 1)
-        arg = (shifted + (mean[:, None, ci : ci + 1] - mean[:, None, :])) / spread[:, None, :]
-        log_terms = log_ndtr(arg)
-        log_terms[:, :, ci] = 0.0
-        probs[:, ci] = np.exp(log_terms.sum(axis=2)) @ _UW
-    return probs
+def _class_probabilities(mean: np.ndarray, spread: np.ndarray) -> np.ndarray:
+    """P(class 0) = Phi((m_0 - m_1) / sqrt(v_0^2 + v_1^2)), P(class 1) its complement."""
+    x = (mean[:, 0] - mean[:, 1]) / np.hypot(spread[:, 0], spread[:, 1])
+    return np.column_stack([ndtr(x), ndtr(-x)])
 
 
 def model_probabilities(model: TrainedModel, raw: np.ndarray):
     """Class probabilities for a batch of raw feature rows.
 
-    The quadrature probabilities are renormalised to sum to one.  Also
+    The closed-form probabilities are renormalised to sum to one.  Also
     returns the predictive means and spreads per class.  The raw rows are
     standardized internally with the model's own transforms.
     """
@@ -409,7 +369,7 @@ def model_probabilities(model: TrainedModel, raw: np.ndarray):
     k = _composite_rows(model, raw)
     mean = k @ model.w_mean.T                                  # (n, C)
     spread = np.sqrt(1.0 + k**2 @ model.w_cov_diag.T)          # (n, C)
-    probs = _quadrature_probabilities(mean, spread)
+    probs = _class_probabilities(mean, spread)
     probs = probs / probs.sum(axis=1, keepdims=True)
     return probs, mean, spread
 
@@ -492,7 +452,7 @@ def model_from_document(text: str) -> TrainedModel:
             else "model document must be a JSON object"
         )
     try:
-        return TrainedModel(
+        model = TrainedModel(
             subset_names=tuple(doc["subset_names"]),
             standardizers=tuple(_standardizer_from_doc(d) for d in doc["standardizers"]),
             kernel_specs=tuple(_spec_from_doc(d) for d in doc["kernel_specs"]),
@@ -504,8 +464,29 @@ def model_from_document(text: str) -> TrainedModel:
             converged=bool(doc["converged"]),
             lb_trace=tuple(float(v) for v in doc["lb_trace"]),
         )
+        _check_agreement(model)
+    except FormatError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"model document has a missing or corrupt field: {exc}") from None
+    return model
+
+
+def _check_agreement(model: TrainedModel) -> None:
+    """Refuse a model whose parts do not fit together."""
+    if len(model.class_labels) != N_CLASSES:
+        raise FormatError(f"model document must name {N_CLASSES} class labels")
+    validate_simplex(model.beta)
+    parts = (model.standardizers, model.kernel_specs, model.train_features, model.beta)
+    if any(len(p) != len(model.subset_names) for p in parts):
+        raise FormatError(
+            "model document needs one standardizer, kernel, feature block and beta per subset"
+        )
+    n = len(model.train_features[0])
+    if any(x.ndim != 2 or len(x) != n for x in model.train_features) or any(
+        w.shape != (N_CLASSES, n) for w in (model.w_mean, model.w_cov_diag)
+    ):
+        raise FormatError(f"w_mean and w_cov_diag must be 2 x N for N = {n} training rows")
 
 
 def save_model(model: TrainedModel, path) -> None:

@@ -107,21 +107,23 @@ def _segment_tables(case: NetworkCase, scenarios, equilibria):
     """Pre-fault and fault-on `power_tables`, stacked over lanes.
 
     Each table has shape (n_lanes, n_gen, n_gen).  A lane's intact network
-    is the one its equilibrium was balanced on; each distinct faulted
-    network, one per (load scale, fault bus), is reduced once.
+    is the one its equilibrium was balanced on, which must be the case's
+    at the scenario's load scale.  Each distinct network, intact per load
+    scale and faulted per (load scale, fault bus), is reduced once.
     """
-    faulted = {}
+    reduced = {}
     fault_nets = []
     for scenario, eq in zip(scenarios, equilibria):
-        if scenario.fault_bus is None:
-            fault_nets.append(eq.network)
-            continue
-        key = (scenario.load_scale, scenario.fault_bus)
-        if key not in faulted:
-            faulted[key] = reduce_to_generators(
-                case, scenario.load_scale, fault_bus=scenario.fault_bus
+        for bus in (None, scenario.fault_bus):
+            if (scenario.load_scale, bus) not in reduced:
+                reduced[scenario.load_scale, bus] = reduce_to_generators(
+                    case, scenario.load_scale, fault_bus=bus
+                )
+        if not np.array_equal(eq.network, reduced[scenario.load_scale, None]):
+            raise InvalidArgumentError(
+                f"equilibrium was not solved at load scale {scenario.load_scale!r}"
             )
-        fault_nets.append(faulted[key])
+        fault_nets.append(reduced[scenario.load_scale, scenario.fault_bus])
 
     emf = case.emf
 
@@ -142,7 +144,8 @@ def simulate(
 
     The equilibrium supplies the initial state, the mechanical input and
     the intact reduced network; it must belong to the same case and load
-    scale.  Raises IntegrationDivergedError on a non-finite state.
+    scale (InvalidArgumentError otherwise).  Raises IntegrationDivergedError
+    on a non-finite state.
     """
     (result,) = simulate_batch(case, [scenario], [equilibrium], substeps_per_cycle)
     if isinstance(result, IntegrationDivergedError):

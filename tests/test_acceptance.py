@@ -35,7 +35,7 @@ from tsakit.kernels import (
 )
 from tsakit.mkprobit import (
     TrainedModel,
-    _quadrature_probabilities,
+    _class_probabilities,
     _truncated_moments,
     init_state,
     lower_bound,
@@ -146,20 +146,19 @@ def test_probit_suite(toy_grams, toy_dataset):
 
     worst_sum = 0.0
     for _ in range(100):
-        c = int(rng.integers(2, 6))
         n = int(rng.integers(1, 12))
-        mean = rng.uniform(-5.0, 5.0, size=(n, c))
-        spread = rng.uniform(1.0, 3.0, size=(n, c))
-        probs = _quadrature_probabilities(mean, spread)
+        mean = rng.uniform(-5.0, 5.0, size=(n, 2))
+        spread = rng.uniform(1.0, 3.0, size=(n, 2))
+        probs = _class_probabilities(mean, spread)
         worst_sum = max(worst_sum, float(np.max(np.abs(probs.sum(axis=1) - 1.0))))
 
     grid = np.arange(-3.0, 3.5, 1.0)
     mean = np.column_stack([grid, np.zeros_like(grid)])
-    probs = _quadrature_probabilities(mean, np.ones_like(mean))
+    probs = _class_probabilities(mean, np.ones_like(mean))
     worst_closed = float(np.max(np.abs(probs[:, 0] - ndtr(grid / np.sqrt(2.0)))))
 
-    m = rng.normal(scale=2.0, size=(5, 200))
-    targets = rng.integers(0, 5, size=200)
+    m = rng.normal(scale=2.0, size=(2, 200))
+    targets = rng.integers(0, 2, size=200)
     y, _ = _truncated_moments(m, targets)
     worst_consistency = float(np.max(np.abs(y.sum(axis=0) - m.sum(axis=0))))
 
@@ -390,6 +389,40 @@ def test_fusion_trend(acceptance_kb, table4_report):
         f"{best_single:.4f} and flat union={flat_union:.4f}, "
         f"all medians={ {k: round(v, 4) for k, v in medians.items()} }, "
         f"sweep {elapsed:.0f}s (< 1200s)",
+    )
+
+
+# Held-out samples classified right (of 226) and iterations for each table4
+# fit at N = 226 over seeds 0-4, recorded before the probit link took its
+# closed form; all 40 fits converged.
+TABLE4_CELLS = {
+    "1": [(220, 98), (218, 97), (220, 88), (215, 98), (218, 104)],
+    "2": [(222, 94), (217, 99), (219, 84), (211, 108), (220, 108)],
+    "3": [(221, 92), (220, 95), (222, 94), (220, 98), (220, 94)],
+    "4": [(221, 99), (218, 92), (222, 86), (217, 95), (220, 95)],
+    "5": [(222, 93), (219, 103), (222, 83), (215, 103), (220, 90)],
+    "6": [(221, 77), (220, 100), (223, 79), (220, 90), (220, 83)],
+    "7": [(221, 91), (220, 86), (222, 90), (218, 85), (220, 91)],
+    "8": [(221, 64), (220, 104), (221, 82), (219, 88), (220, 84)],
+}
+
+
+def test_table4_cells_match_reference(table4_report):
+    # A gate at realistic size: (accuracy, iterations, converged) of every
+    # fit, read off the sweep the trend checks already run.
+    got = {}
+    for r in table4_report.results:
+        got.setdefault(r.scheme.scheme_id, []).append((r.accuracy, r.iterations, r.converged))
+    differing = [
+        sid
+        for sid, cells in TABLE4_CELLS.items()
+        if got.get(sid) != [(k / 226, it, True) for k, it in cells]
+    ]
+    _report(
+        "table4 cells",
+        table4_report.seeds == (0, 1, 2, 3, 4) and not differing,
+        f"{len(table4_report.results)} fits at N={table4_report.n_train}, "
+        f"schemes differing from the recorded cells: {differing or 'none'}",
     )
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import json
 import pathlib
 
 import numpy as np
@@ -479,6 +480,51 @@ def test_cli_malformed_input_exits_one(
         argv = ["eval", "--model", str(paths["model"]), "--kb", str(paths["kb"])]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def _cut_beta(doc):
+    doc["beta"] = [0.5]
+
+
+def _one_beta(doc):
+    doc["beta"] = [1.0]
+
+
+def _short_w_mean(doc):
+    doc["w_mean"] = [row[:-1] for row in doc["w_mean"]]
+
+
+def _three_classes(doc):
+    doc["class_labels"].append(0)
+    doc["w_mean"].append(doc["w_mean"][0])
+    doc["w_cov_diag"].append(doc["w_cov_diag"][0])
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+@pytest.mark.parametrize(
+    "damage", [_cut_beta, _one_beta, _short_w_mean, _three_classes],
+    ids=["beta-cut", "beta-one-entry", "w-mean-short", "three-classes"],
+)
+def test_cli_refuses_model_that_disagrees_with_itself(
+    command, damage, kb_file, model_file, small_kb, tmp_path, capsys
+):
+    # The default scheme fits three subsets to two classes; each damaged
+    # document is still valid JSON with every field present.
+    doc = json.loads(model_file.read_text())
+    assert len(doc["subset_names"]) == 3
+    damage(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rows = tmp_path / "rows.txt"
+    rows.write_text(" ".join(repr(float(v)) for v in small_kb.feature_matrix[0]) + "\n")
+    if command == "predict":
+        argv = ["predict", "--model", str(bad), "--features", str(rows)]
+    else:
+        argv = ["eval", "--model", str(bad), "--kb", str(kb_file)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_cli_gen_kb_rejects_repeated_cells(tmp_path, capsys):

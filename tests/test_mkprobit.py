@@ -19,7 +19,7 @@ from tsakit.mkprobit import (
     GAMMA_PRIOR_SHAPE,
     JITTER,
     TrainedModel,
-    _quadrature_probabilities,
+    _class_probabilities,
     _solve_spd,
     _truncated_moments,
     init_state,
@@ -67,25 +67,70 @@ def fit_plain_model(x, targets, seed=0, max_iters=200):
     )
 
 
+# --- Quadrature oracle ----------------------------------------------------------
+#
+# The general C-class link expectations of the model family, evaluated by a
+# 128-node Gauss-Hermite rule over a shared standard-normal variable u.  They
+# share no code with the closed forms they check.
+
+_GH_X, _GH_W = np.polynomial.hermite.hermgauss(128)
+_U = np.sqrt(2.0) * _GH_X       # nodes of a standard normal expectation
+_UW = _GH_W / np.sqrt(np.pi)    # matching weights, summing to one
+
+
+def quadrature_truncated_moments(m, targets):
+    """E[y_jn] = m_jn - E_u[pdf_j prod_{l != i,j} cdf_l] / Z_n for rivals j of
+    the true class i, Z_n = E_u[prod_{l != i} cdf_l], with pdf/cdf taken at
+    u + m_in - m_ln; the true class absorbs the sum of corrections."""
+    n_classes, n = m.shape
+    idx = np.arange(n)
+    m_true = m[targets, idx]
+    arg = _U[None, None, :] + (m_true[None, :] - m)[:, :, None]     # (C, N, GH)
+    rival = np.ones((n_classes, n), dtype=bool)
+    rival[targets, idx] = False
+    log_cdf = np.where(rival[:, :, None], log_ndtr(arg), 0.0)
+    sum_log = log_cdf.sum(axis=0)                                    # (N, GH)
+    z = np.exp(sum_log) @ _UW
+    log_pdf = -0.5 * arg**2 - 0.5 * np.log(2.0 * np.pi)
+    corr = np.where(rival, (np.exp(log_pdf + sum_log[None] - log_cdf) @ _UW) / z, 0.0)
+    y = m - corr
+    y[targets, idx] = m_true + corr.sum(axis=0)
+    return y, np.log(z)
+
+
+def quadrature_probabilities(mean, spread):
+    """P(class c) = E_u prod_{j != c} Phi((u v_c + m_c - m_j) / v_j)."""
+    n, c = mean.shape
+    probs = np.empty((n, c))
+    for ci in range(c):
+        shifted = _U[None, :, None] * spread[:, None, ci : ci + 1]  # (n, GH, 1)
+        arg = (shifted + (mean[:, None, ci : ci + 1] - mean[:, None, :])) / spread[:, None, :]
+        log_terms = log_ndtr(arg)
+        log_terms[:, :, ci] = 0.0
+        probs[:, ci] = np.exp(log_terms.sum(axis=2)) @ _UW
+    return probs
+
+
 # --- Truncated auxiliary moments ------------------------------------------------
 
 
 def test_truncated_moments_match_monte_carlo():
-    m = np.array([[0.5], [-0.3], [0.1]])
-    targets = np.array([0])
+    m = np.array([[0.5, -0.4], [-0.3, 0.2]])
+    targets = np.array([0, 1])
     y, log_z = _truncated_moments(m, targets)
 
     rng = np.random.default_rng(42)
-    draws = rng.normal(loc=m[:, 0], scale=1.0, size=(1_000_000, 3))
-    keep = (draws[:, 0] > draws[:, 1]) & (draws[:, 0] > draws[:, 2])
-    assert_allclose(np.exp(log_z[0]), keep.mean(), rtol=0, atol=3e-3)
-    assert_allclose(y[:, 0], draws[keep].mean(axis=0), rtol=0, atol=8e-3)
+    for n, t in enumerate(targets):
+        draws = rng.normal(loc=m[:, n], scale=1.0, size=(1_000_000, 2))
+        keep = draws[:, t] > draws[:, 1 - t]
+        assert_allclose(np.exp(log_z[n]), keep.mean(), rtol=0, atol=3e-3)
+        assert_allclose(y[:, n], draws[keep].mean(axis=0), rtol=0, atol=8e-3)
 
 
 def test_truncated_moments_preserve_mean_sum():
     rng = np.random.default_rng(11)
-    m = rng.normal(scale=2.0, size=(4, 50))
-    targets = rng.integers(0, 4, size=50)
+    m = rng.normal(scale=2.0, size=(2, 50))
+    targets = rng.integers(0, 2, size=50)
     y, _ = _truncated_moments(m, targets)
     assert np.max(np.abs(y.sum(axis=0) - m.sum(axis=0))) < 1e-9
 
@@ -113,6 +158,23 @@ def test_two_class_moments_hold_from_deep_tail_to_certainty():
     assert_allclose(log_z, log_ndtr(x), rtol=0, atol=1e-12)
     assert_allclose(-y[1], hazard, rtol=1e-12, atol=0)
     assert_allclose(y[0], d + hazard, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("true_class", [0, 1])
+def test_truncated_moments_match_quadrature_oracle(true_class):
+    # d = m_true - m_rival over [-30, 8] with an offset on both means; the
+    # rival correction agrees to 1e-12 relative, log Z to 1e-12 absolute.
+    d = np.linspace(-30.0, 8.0, 381)
+    m = np.vstack([d + 0.7, np.full_like(d, 0.7)])
+    if true_class == 1:
+        m = m[::-1].copy()
+    targets = np.full(d.size, true_class)
+    y, log_z = _truncated_moments(m, targets)
+    y_ref, log_z_ref = quadrature_truncated_moments(m, targets)
+    rival = 1 - true_class
+    assert_allclose(log_z, log_z_ref, rtol=0, atol=1e-12)
+    assert_allclose(m[rival] - y[rival], m[rival] - y_ref[rival], rtol=1e-12, atol=0)
+    assert_allclose(y, y_ref, rtol=1e-12, atol=1e-12)
 
 
 def test_auxiliary_update_flags_non_finite_state(toy_grams, toy_dataset):
@@ -268,11 +330,17 @@ def test_single_space_skips_resampling(toy_grams, toy_dataset):
 
 @pytest.mark.parametrize(
     "targets",
-    [np.array([]), np.zeros((2, 2), dtype=int), np.array([-1, 0]), np.array([0, 3])],
+    [
+        np.array([]),
+        np.zeros((2, 2), dtype=int),
+        np.array([-1, 0]),
+        np.array([0, 3]),
+        np.array([0, 1, 2]),
+    ],
 )
 def test_init_state_rejects_bad_targets(targets):
     with pytest.raises(InvalidArgumentError):
-        init_state([np.eye(len(np.atleast_1d(targets)) or 1)], targets, n_classes=2)
+        init_state([np.eye(len(np.atleast_1d(targets)) or 1)], targets)
 
 
 def test_init_state_rejects_single_class():
@@ -303,32 +371,32 @@ def test_init_state_starting_point(toy_grams, toy_dataset):
 def test_two_class_probability_closed_form(a):
     mean = np.array([[a, 0.0]])
     spread = np.ones((1, 2))
-    probs = _quadrature_probabilities(mean, spread)
+    probs = _class_probabilities(mean, spread)
     assert_allclose(probs[0, 0], ndtr(a / np.sqrt(2.0)), rtol=1e-12, atol=0)
     assert_allclose(probs[0].sum(), 1.0, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("ratio", [1.0, 1.5, 2.0])
 def test_two_class_probability_with_unequal_spreads(ratio):
-    # P(class 0) = Phi((m0 - m1) / sqrt(v0^2 + v1^2)).  The 128-node rule
+    # P(class 0) = Phi((m0 - m1) / sqrt(v0^2 + v1^2)).  The 128-node oracle
     # holds this to 1e-12 for spread ratios up to 2 (at 3 it is near 1e-10).
     d = np.linspace(-8.0, 8.0, 161)
     for v0, v1 in [(1.0, ratio), (ratio, 1.0), (2.2, 2.2 * ratio), (1.3 * ratio, 1.3)]:
         mean = np.column_stack([d * np.hypot(v0, v1), np.zeros_like(d)])
         spread = np.column_stack([np.full_like(d, v0), np.full_like(d, v1)])
-        probs = _quadrature_probabilities(mean, spread)
+        probs = _class_probabilities(mean, spread)
         assert_allclose(probs[:, 0], ndtr(d), rtol=1e-12, atol=0)
         assert_allclose(probs[:, 1], ndtr(-d), rtol=1e-12, atol=0)
+        assert_allclose(probs, quadrature_probabilities(mean, spread), rtol=1e-12, atol=0)
 
 
 def test_raw_probabilities_sum_to_one():
     rng = np.random.default_rng(13)
     for _ in range(20):
-        c = int(rng.integers(2, 6))
         n = int(rng.integers(1, 8))
-        mean = rng.uniform(-5.0, 5.0, size=(n, c))
-        spread = rng.uniform(1.0, 3.0, size=(n, c))
-        probs = _quadrature_probabilities(mean, spread)
+        mean = rng.uniform(-5.0, 5.0, size=(n, 2))
+        spread = rng.uniform(1.0, 3.0, size=(n, 2))
+        probs = _class_probabilities(mean, spread)
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-6
         assert probs.min() >= 0.0
 
@@ -347,7 +415,7 @@ def test_model_probability_plumbing():
     model = fit_plain_model(x_train, t_train, max_iters=60)
     x_query = x_train[:5]
     normed, mean, spread = model_probabilities(model, x_query)
-    raw = _quadrature_probabilities(mean, spread)
+    raw = _class_probabilities(mean, spread)
     assert np.max(np.abs(raw.sum(axis=1) - 1.0)) < 1e-6
     assert np.all(spread >= 1.0)  # unit link noise plus a quadratic form
     assert_allclose(normed.sum(axis=1), 1.0, rtol=0, atol=1e-12)

@@ -93,6 +93,20 @@ def test_simulate_rejects_unknown_fault_bus(bundled_case, bundled_equilibrium):
         simulate(bundled_case, scenario, bundled_equilibrium)
 
 
+def test_simulate_refuses_equilibrium_from_another_load_scale(bundled_case, bundled_equilibrium):
+    # The equilibrium was balanced at load scale 1.0; integrating it on the
+    # 1.3 networks would start the fault from a state that is no equilibrium.
+    scenario = Scenario(load_scale=1.3, dispatch_seed=0, fault_bus=7)
+    with pytest.raises(InvalidArgumentError, match="load scale"):
+        simulate(bundled_case, scenario, bundled_equilibrium)
+    with pytest.raises(InvalidArgumentError, match="load scale"):
+        simulate_batch(
+            bundled_case,
+            [dataclasses.replace(scenario, load_scale=1.0), scenario],
+            [bundled_equilibrium, bundled_equilibrium],
+        )
+
+
 def test_sampling_grid_and_switch_indices(bundled_case, bundled_equilibrium):
     scenario = Scenario(
         load_scale=1.0, dispatch_seed=0, fault_bus=7, observation_horizon_s=1.0
