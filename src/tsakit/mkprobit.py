@@ -44,6 +44,13 @@ RHO_BASE = 1.0
 BETA_SAMPLES = 500
 MAX_ITERS = 200
 BOUND_REL_TOL = 1e-5
+# Batch prediction takes the query rows in blocks of about this many
+# kernel entries, so each temporary holds at most 64 KiB.  The allocator
+# serves blocks that small from memory it already holds; whole-batch
+# temporaries of some hundred KiB are mapped and faulted in afresh on
+# some calls and not on others, depending on what the process freed
+# before, and a batch then costs up to half as much again.
+PREDICT_BLOCK_ENTRIES = 8192
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
@@ -359,16 +366,22 @@ def model_probabilities(model: TrainedModel, raw: np.ndarray):
 
     The closed-form probabilities are renormalised to sum to one.  Also
     returns the predictive means and spreads per class.  The raw rows are
-    standardized internally with the model's own transforms.
+    standardized internally with the model's own transforms, and taken in
+    blocks of PREDICT_BLOCK_ENTRIES kernel entries.
     """
     raw = np.atleast_2d(np.asarray(raw, dtype=float))
     if raw.ndim != 2 or raw.shape[1] != model.n_features:
         raise InvalidArgumentError(
             f"feature rows must hold {model.n_features} values, got shape {raw.shape}"
         )
-    k = _composite_rows(model, raw)
-    mean = k @ model.w_mean.T                                  # (n, C)
-    spread = np.sqrt(1.0 + k**2 @ model.w_cov_diag.T)          # (n, C)
+    mean = np.empty((raw.shape[0], N_CLASSES))
+    spread = np.empty((raw.shape[0], N_CLASSES))
+    step = max(1, PREDICT_BLOCK_ENTRIES // model.w_mean.shape[1])
+    for start in range(0, raw.shape[0], step):
+        rows = slice(start, start + step)
+        k = _composite_rows(model, raw[rows])
+        mean[rows] = k @ model.w_mean.T
+        spread[rows] = np.sqrt(1.0 + k**2 @ model.w_cov_diag.T)
     probs = _class_probabilities(mean, spread)
     probs = probs / probs.sum(axis=1, keepdims=True)
     return probs, mean, spread

@@ -1,11 +1,14 @@
 """Variational kernel-mixture probit: update oracles, bound, prediction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.special import log_ndtr, ndtr
 from scipy.stats import norm
 
+from tsakit import mkprobit
 from tsakit.errors import (
     DegenerateLabelsError,
     FormatError,
@@ -425,6 +428,33 @@ def test_model_probability_plumbing():
     assert single.probabilities.shape == (2,)
     assert single.label in model.class_labels
     assert single.label == model.class_labels[int(np.argmax(single.probabilities))]
+
+
+def test_batch_prediction_block_size_does_not_change_the_result(monkeypatch):
+    x_train, t_train = make_blobs(15, seed=26)
+    x_query, _ = make_blobs(20, seed=27)
+    model = fit_plain_model(x_train, t_train, max_iters=60)
+    assert len(x_query) * len(x_train) <= mkprobit.PREDICT_BLOCK_ENTRIES
+    whole = model_probabilities(model, x_query)
+    # 7 rows per block: five full blocks and a short one
+    monkeypatch.setattr(mkprobit, "PREDICT_BLOCK_ENTRIES", 7 * len(x_train))
+    blocked = model_probabilities(model, x_query)
+    for a, b in zip(whole, blocked):
+        assert_allclose(b, a, rtol=1e-12, atol=1e-15)
+
+
+def test_batch_prediction_temporaries_stay_small():
+    x_train, t_train = make_blobs(50, seed=28)
+    x_query, _ = make_blobs(500, seed=29)
+    model = fit_plain_model(x_train, t_train, max_iters=20)
+    whole_batch_kernel = len(x_query) * len(x_train) * 8   # 800 KB
+    tracemalloc.start()
+    try:
+        model_probabilities(model, x_query)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < whole_batch_kernel / 2
 
 
 def test_swapped_labels_swap_probabilities():
