@@ -5,10 +5,11 @@ matrices.  Class c keeps a regressor w_c over the N training samples with
 an automatic-relevance Gamma prior on each weight's precision; latent
 auxiliary responses y_cn carry the probit link: sample n belongs to the
 class whose auxiliary response is largest.  Stability assessment has two
-classes (stable, unstable), for which the link has closed forms.
+classes (stable, unstable), for which the link has closed forms.  Class 1's
+regressor is the negation of class 0's, so one Gaussian posterior is solved.
 
 Inference is mean-field coordinate ascent.  Regressor posteriors are
-Gaussian with covariance (K K' + A_c)^-1, auxiliary posteriors are
+Gaussian with covariance (K K' + A)^-1, auxiliary posteriors are
 truncated Gaussians whose means shift by a normal hazard, scale
 posteriors stay Gamma, and the mixture weights are refreshed by
 importance sampling from a Dirichlet proposal weighted by the model fit.
@@ -63,12 +64,12 @@ class ProbitMKLState:
     targets: np.ndarray          # (N,) class indices, 0 or 1
     k_eff: np.ndarray            # composite + jitter on the diagonal
     k_eff_sq: np.ndarray         # k_eff @ k_eff, reused by bound and solves
-    w_mean: np.ndarray           # (C, N)
-    w_cov: np.ndarray            # (C, N, N)
-    w_logdet: np.ndarray         # (C,) cached log|Sigma_c|
-    scale_shape: np.ndarray      # (C, N)
-    scale_rate: np.ndarray       # (C, N)
-    y_mean: np.ndarray           # (C, N)
+    w_mean: np.ndarray           # (N,) class 0's; class 1's is its negation
+    w_cov: np.ndarray            # (N, N), shared by both classes
+    w_logdet: float              # cached log|Sigma|
+    scale_shape: np.ndarray      # (N,)
+    scale_rate: np.ndarray       # (N,)
+    y_mean: np.ndarray           # (N,) class 0's auxiliary means
     rho: np.ndarray              # (S,) Dirichlet proposal parameters
     converged: bool = False
     lb_trace: list = field(default_factory=list)
@@ -83,6 +84,10 @@ class ProbitMKLState:
         self.k_eff = compose(self.grams, beta) + JITTER * np.eye(self.n_samples)
         self.k_eff_sq = self.k_eff @ self.k_eff
         self.beta = np.asarray(beta, dtype=float)
+
+    def class_posteriors(self):
+        """Regressor means and covariance diagonals of both classes, (2, N) each."""
+        return np.stack([self.w_mean, -self.w_mean]), np.stack([np.diag(self.w_cov)] * 2)
 
 
 def init_state(grams, targets) -> ProbitMKLState:
@@ -106,20 +111,18 @@ def init_state(grams, targets) -> ProbitMKLState:
         if np.asarray(g).shape != (n, n):
             raise InvalidArgumentError("each Gram matrix must be N x N for N samples")
 
-    y = np.full((N_CLASSES, n), -1.0)
-    y[targets, np.arange(n)] = 1.0
     state = ProbitMKLState(
         grams=tuple(np.asarray(g, dtype=float) for g in grams),
         beta=np.full(s, 1.0 / s),
         targets=targets,
         k_eff=np.empty((n, n)),
         k_eff_sq=np.empty((n, n)),
-        w_mean=np.zeros((N_CLASSES, n)),
-        w_cov=np.broadcast_to(np.eye(n), (N_CLASSES, n, n)).copy(),
-        w_logdet=np.zeros(N_CLASSES),
-        scale_shape=np.full((N_CLASSES, n), GAMMA_PRIOR_SHAPE),
-        scale_rate=np.full((N_CLASSES, n), GAMMA_PRIOR_RATE),
-        y_mean=y,
+        w_mean=np.zeros(n),
+        w_cov=np.eye(n),
+        w_logdet=0.0,
+        scale_shape=np.full(n, GAMMA_PRIOR_SHAPE),
+        scale_rate=np.full(n, GAMMA_PRIOR_RATE),
+        y_mean=1.0 - 2.0 * targets,
         rho=np.full(s, RHO_BASE),
     )
     state.set_beta(state.beta)
@@ -144,47 +147,43 @@ def _solve_spd(precision: np.ndarray):
 
 
 def update_regressors_and_scales(state: ProbitMKLState) -> None:
-    """Refresh the Gaussian regressor posteriors, then their ARD scales."""
-    kk = state.k_eff_sq
-    for c in range(N_CLASSES):
-        precision = kk + np.diag(state.scale_shape[c] / state.scale_rate[c])
-        cov, logdet, extra = _solve_spd(precision)
-        if extra > 0.0:
-            state.messages.append(
-                f"class {c}: regressor solve needed extra jitter {extra:g}"
-            )
-        state.w_cov[c] = cov
-        state.w_logdet[c] = logdet
-        state.w_mean[c] = cov @ (state.k_eff @ state.y_mean[c])
-    w_sq = state.w_mean**2 + np.einsum("cii->ci", state.w_cov)
+    """Refresh the Gaussian regressor posterior, then its ARD scales."""
+    precision = state.k_eff_sq + np.diag(state.scale_shape / state.scale_rate)
+    state.w_cov, state.w_logdet, extra = _solve_spd(precision)
+    if extra > 0.0:
+        state.messages.append(f"regressor solve needed extra jitter {extra:g}")
+    state.w_mean = state.w_cov @ (state.k_eff @ state.y_mean)
+    w_sq = state.w_mean**2 + np.diag(state.w_cov)
     state.scale_shape = np.full_like(state.scale_shape, GAMMA_PRIOR_SHAPE + 0.5)
     state.scale_rate = GAMMA_PRIOR_RATE + 0.5 * w_sq
 
 
 def _truncated_moments(m: np.ndarray, targets: np.ndarray):
-    """Means of truncated Gaussians, plus log truncation mass.
+    """Class 0's truncated-Gaussian auxiliary means, plus log truncation mass.
 
     For sample n with true class i and rival j the auxiliary vector is
-    N(m_n, I) conditioned on y_in > y_jn.  With x = (m_in - m_jn) / sqrt(2),
+    N(m_n, I) conditioned on y_in > y_jn, m_0n = m[n] and m_1n = -m[n].  With
+    x = (m_in - m_jn) / sqrt(2),
 
         Z_n     = Phi(x),
         E[y_in] = m_in + h,   E[y_jn] = m_jn - h,   h = phi(x) / (sqrt(2) Phi(x)),
 
-    so the per-sample mean shift is zero.  log Z comes from `log_ndtr`,
-    which stays exact deep in the tail, and the hazard is formed from it.
+    so class 1's auxiliary means stay the negation of class 0's.  log Z
+    comes from `log_ndtr`, which stays exact deep in the tail, and the
+    hazard is formed from it.
     """
     sign = 1.0 - 2.0 * targets                      # +1 where class 0 is true
-    x = sign * (m[0] - m[1]) / math.sqrt(2.0)
+    x = sign * (m - (-m)) / math.sqrt(2.0)
     log_z = log_ndtr(x)
     shift = sign * np.exp(-0.5 * x**2 - 0.5 * _LOG_2PI - log_z) / math.sqrt(2.0)
-    return m + np.stack([shift, -shift]), log_z
+    return m + shift, log_z
 
 
 def update_auxiliaries(state: ProbitMKLState) -> None:
     m = state.w_mean @ state.k_eff
     y, _ = _truncated_moments(m, state.targets)
     if not np.all(np.isfinite(y)):
-        bad = int(np.argwhere(~np.isfinite(y))[0][1])
+        bad = int(np.flatnonzero(~np.isfinite(y))[0])
         raise NumericalFailureError(f"auxiliary update went non-finite at sample {bad}")
     state.y_mean = y
 
@@ -193,21 +192,19 @@ def resample_beta(state: ProbitMKLState, seed=None) -> np.ndarray:
     """Importance-sample the kernel mixture around the current posterior.
 
     BETA_SAMPLES candidates come from Dirichlet(rho); each is weighted by
-    the fit exp(-||Y - W K^beta||_F^2 / 2) under the current posterior
-    means, and the normalised weighted average becomes the new mixture.
-    The proposal is then re-centred as rho = 1 + S * beta.
+    the fit exp(-||Y - W K^beta||_F^2 / 2) = exp(-||y - w K^beta||^2), as both
+    classes' residuals are equal, and the normalised weighted average becomes
+    the new mixture.  The proposal is then re-centred as rho = 1 + S * beta.
     """
     s = len(state.grams)
     if s == 1:
         return state.beta
     rng = np.random.default_rng(seed)
     candidates = rng.dirichlet(state.rho, size=BETA_SAMPLES)   # (n, S)
-    per_space = np.stack(
-        [(state.w_mean @ g).ravel() for g in state.grams]
-    )                                                           # (S, C*N)
-    fitted = candidates @ per_space                             # (n, C*N)
-    resid = state.y_mean.ravel()[None, :] - fitted
-    log_w = -0.5 * np.sum(resid**2, axis=1)
+    per_space = np.stack([state.w_mean @ g for g in state.grams])   # (S, N)
+    fitted = candidates @ per_space                                 # (n, N)
+    resid = state.y_mean[None, :] - fitted
+    log_w = -np.sum(resid**2, axis=1)
     log_w -= log_w.max()
     weights = np.exp(log_w)
     total = float(weights.sum())
@@ -229,21 +226,18 @@ def lower_bound(state: ProbitMKLState) -> float:
     Three pieces: the log truncation mass of each sample minus the
     predictive-variance penalty, the Gaussian regressor term against its
     ARD prior, and the Gamma scale term against its prior.  Requires the
-    cached regressor covariances to match the current posteriors.
+    cached regressor covariance to match the current posterior.
     """
     m = state.w_mean @ state.k_eff
     _, log_z = _truncated_moments(m, state.targets)
-    quad_penalty = sum(
-        float(np.sum(state.w_cov[c] * state.k_eff_sq)) for c in range(N_CLASSES)
-    )
-    bound = float(log_z.sum()) - 0.5 * quad_penalty
+    # Class 1's factors mirror class 0's, so each per-class term counts twice.
+    bound = float(log_z.sum()) - float(np.sum(state.w_cov * state.k_eff_sq))
 
     e_alpha = state.scale_shape / state.scale_rate
     e_log_alpha = digamma(state.scale_shape) - np.log(state.scale_rate)
-    w_sq = state.w_mean**2 + np.einsum("cii->ci", state.w_cov)
-    n = state.n_samples
-    bound += 0.5 * float(np.sum(e_log_alpha)) - 0.5 * float(np.sum(e_alpha * w_sq))
-    bound += 0.5 * float(state.w_logdet.sum()) + 0.5 * n * N_CLASSES
+    w_sq = state.w_mean**2 + np.diag(state.w_cov)
+    bound += float(np.sum(e_log_alpha)) - float(np.sum(e_alpha * w_sq))
+    bound += state.w_logdet + state.n_samples
 
     a0, b0 = GAMMA_PRIOR_SHAPE, GAMMA_PRIOR_RATE
     prior = (a0 - 1.0) * e_log_alpha - b0 * e_alpha + a0 * math.log(b0) - gammaln(a0)
@@ -253,7 +247,7 @@ def lower_bound(state: ProbitMKLState) -> float:
         + gammaln(state.scale_shape)
         + (1.0 - state.scale_shape) * digamma(state.scale_shape)
     )
-    bound += float(np.sum(prior + entropy))
+    bound += 2.0 * float(np.sum(prior + entropy))
     if not np.isfinite(bound):
         raise NumericalFailureError("variational lower bound is not finite")
     return bound
@@ -500,6 +494,10 @@ def _check_agreement(model: TrainedModel) -> None:
         w.shape != (N_CLASSES, n) for w in (model.w_mean, model.w_cov_diag)
     ):
         raise FormatError(f"w_mean and w_cov_diag must be 2 x N for N = {n} training rows")
+    for name, std, x in zip(model.subset_names, model.standardizers, model.train_features):
+        width = x.shape[1] if name == "union" else len(FEATURE_NAMES[subset_columns(name)])
+        if {x.shape[1:], std.mean.shape, std.std.shape, std.zero_variance.shape} != {(width,)}:
+            raise FormatError(f"subset {name}: standardizer and features must be {width} wide")
 
 
 def save_model(model: TrainedModel, path) -> None:

@@ -500,10 +500,15 @@ def _three_classes(doc):
     doc["w_cov_diag"].append(doc["w_cov_diag"][0])
 
 
+def _short_standardizer(doc):
+    for key in ("mean", "std", "zero_variance"):
+        doc["standardizers"][0][key] = doc["standardizers"][0][key][:-1]
+
+
 @pytest.mark.parametrize("command", ["predict", "eval"])
 @pytest.mark.parametrize(
-    "damage", [_cut_beta, _one_beta, _short_w_mean, _three_classes],
-    ids=["beta-cut", "beta-one-entry", "w-mean-short", "three-classes"],
+    "damage", [_cut_beta, _one_beta, _short_w_mean, _three_classes, _short_standardizer],
+    ids=["beta-cut", "beta-one-entry", "w-mean-short", "three-classes", "standardizer-short"],
 )
 def test_cli_refuses_model_that_disagrees_with_itself(
     command, damage, kb_file, model_file, small_kb, tmp_path, capsys

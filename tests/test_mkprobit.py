@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import log_ndtr, ndtr
+from scipy.special import digamma, gammaln, log_ndtr, ndtr
 from scipy.stats import norm
 
 from tsakit import mkprobit
@@ -18,9 +18,11 @@ from tsakit.errors import (
 from tsakit.features import Standardizer
 from tsakit.kernels import GAUSSIAN, KernelSpec, base_gram, median_width, validate_simplex
 from tsakit.mkprobit import (
+    BETA_SAMPLES,
     GAMMA_PRIOR_RATE,
     GAMMA_PRIOR_SHAPE,
     JITTER,
+    RHO_BASE,
     TrainedModel,
     _class_probabilities,
     _solve_spd,
@@ -56,13 +58,14 @@ def fit_plain_model(x, targets, seed=0, max_iters=200):
     xs = std.transform(x)
     spec = KernelSpec(kind=GAUSSIAN, sigma=median_width(xs))
     state = train([base_gram(xs, spec)], targets, seed=seed, max_iters=max_iters)
+    w_mean, w_cov_diag = state.class_posteriors()
     return TrainedModel(
         subset_names=("union",),
         standardizers=(std,),
         kernel_specs=(spec,),
         beta=state.beta.copy(),
-        w_mean=state.w_mean.copy(),
-        w_cov_diag=np.einsum("cii->ci", state.w_cov).copy(),
+        w_mean=w_mean,
+        w_cov_diag=w_cov_diag,
         train_features=(xs,),
         class_labels=(0, 1),
         converged=state.converged,
@@ -118,64 +121,82 @@ def quadrature_probabilities(mean, spread):
 
 
 def test_truncated_moments_match_monte_carlo():
+    # The model sees class 0's mean as the half-difference of the two means;
+    # the shift it returns moves the true class up and the rival down.
     m = np.array([[0.5, -0.4], [-0.3, 0.2]])
     targets = np.array([0, 1])
-    y, log_z = _truncated_moments(m, targets)
+    half = (m[0] - m[1]) / 2.0
+    y, log_z = _truncated_moments(half, targets)
+    shift = y - half
 
     rng = np.random.default_rng(42)
     for n, t in enumerate(targets):
         draws = rng.normal(loc=m[:, n], scale=1.0, size=(1_000_000, 2))
         keep = draws[:, t] > draws[:, 1 - t]
         assert_allclose(np.exp(log_z[n]), keep.mean(), rtol=0, atol=3e-3)
-        assert_allclose(y[:, n], draws[keep].mean(axis=0), rtol=0, atol=8e-3)
+        expected = m[:, n] + [shift[n], -shift[n]]
+        assert_allclose(expected, draws[keep].mean(axis=0), rtol=0, atol=8e-3)
 
 
-def test_truncated_moments_preserve_mean_sum():
+def test_truncated_moments_rank_the_true_class_first():
+    # Conditioning on y_true > y_rival keeps E[y_true] > E[y_rival], whatever
+    # the means: the hazard must outweigh a mean on the wrong side, down to
+    # d = m_true - m_rival = -30.  Class 1's auxiliaries are -y, so the
+    # margin is (1 - 2t) y.
     rng = np.random.default_rng(11)
-    m = rng.normal(scale=2.0, size=(2, 50))
-    targets = rng.integers(0, 2, size=50)
-    y, _ = _truncated_moments(m, targets)
-    assert np.max(np.abs(y.sum(axis=0) - m.sum(axis=0))) < 1e-9
+    d = np.concatenate([rng.normal(scale=4.0, size=50), np.linspace(-30.0, 8.0, 50)])
+    targets = rng.integers(0, 2, size=d.size)
+    sign = 1 - 2 * targets
+    y, _ = _truncated_moments(sign * d / 2.0, targets)
+    assert np.all(sign * y > 0.0)
 
 
 @pytest.mark.parametrize("a", [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0])
 def test_two_class_moments_have_closed_form(a):
     # With two classes the truncation mass is Phi(a / sqrt(2)) and the
     # rival mean shifts down by phi(a / sqrt(2)) / sqrt(2) over that mass.
-    m = np.array([[a], [0.0]])
-    y, log_z = _truncated_moments(m, np.array([0]))
+    # Means (a, 0) reach the model as class 0's half-difference a / 2.
+    half = np.array([a / 2.0])
+    y, log_z = _truncated_moments(half, np.array([0]))
     z_exact = ndtr(a / np.sqrt(2.0))
     hazard = norm.pdf(a / np.sqrt(2.0)) / np.sqrt(2.0) / z_exact
     assert_allclose(log_z[0], log_ndtr(a / np.sqrt(2.0)), rtol=0, atol=1e-12)
-    assert_allclose(y[1, 0], -hazard, rtol=1e-12, atol=0)
-    assert_allclose(y[0, 0], a + hazard, rtol=1e-12, atol=1e-12)
+    assert_allclose(y[0] - half[0], hazard, rtol=1e-12, atol=0)
+    assert_allclose(y[0] + half[0], a + hazard, rtol=1e-12, atol=1e-12)
 
 
 def test_two_class_moments_hold_from_deep_tail_to_certainty():
     # The same identities over d in [-30, 8], where Z falls to 1e-100; the
-    # hazard is formed in log space so the oracle itself stays exact.
+    # hazard is formed in log space so the oracle itself stays exact.  The
+    # model stores the shift on top of the half-difference d / 2, so the
+    # expected shift is read back through the same addition.
     d = np.linspace(-30.0, 8.0, 381)
-    y, log_z = _truncated_moments(np.vstack([d, np.zeros_like(d)]), np.zeros(d.size, dtype=int))
+    half = d / 2.0
+    y, log_z = _truncated_moments(half, np.zeros(d.size, dtype=int))
     x = d / np.sqrt(2.0)
     hazard = np.exp(norm.logpdf(x) - log_ndtr(x)) / np.sqrt(2.0)
     assert_allclose(log_z, log_ndtr(x), rtol=0, atol=1e-12)
-    assert_allclose(-y[1], hazard, rtol=1e-12, atol=0)
-    assert_allclose(y[0], d + hazard, rtol=1e-12, atol=1e-12)
+    assert_allclose(y - half, (half + hazard) - half, rtol=1e-12, atol=0)
+    assert_allclose(y, half + hazard, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("true_class", [0, 1])
 def test_truncated_moments_match_quadrature_oracle(true_class):
-    # d = m_true - m_rival over [-30, 8] with an offset on both means; the
+    # d = m_true - m_rival over [-30, 8].  The model passes class 0's mean,
+    # the half-difference; the oracle reads the full two-row mean (m, -m),
+    # and for log Z also that mean with an offset of 0.7 on both rows.  The
     # rival correction agrees to 1e-12 relative, log Z to 1e-12 absolute.
     d = np.linspace(-30.0, 8.0, 381)
-    m = np.vstack([d + 0.7, np.full_like(d, 0.7)])
-    if true_class == 1:
-        m = m[::-1].copy()
     targets = np.full(d.size, true_class)
-    y, log_z = _truncated_moments(m, targets)
+    half = (1 - 2 * true_class) * d / 2.0
+    y, log_z = _truncated_moments(half, targets)
+    m = np.vstack([half, -half])
     y_ref, log_z_ref = quadrature_truncated_moments(m, targets)
+    _, log_z_offset = quadrature_truncated_moments(m + 0.7, targets)
+    y = np.vstack([y, -y])
     rival = 1 - true_class
     assert_allclose(log_z, log_z_ref, rtol=0, atol=1e-12)
+    assert_allclose(log_z, log_z_offset, rtol=0, atol=1e-12)
     assert_allclose(m[rival] - y[rival], m[rival] - y_ref[rival], rtol=1e-12, atol=0)
     assert_allclose(y, y_ref, rtol=1e-12, atol=1e-12)
 
@@ -191,8 +212,8 @@ def test_auxiliary_update_flags_non_finite_state(toy_grams, toy_dataset):
 def test_auxiliary_consistency_after_training(toy_grams, toy_dataset):
     _, targets = toy_dataset
     state = train(toy_grams, targets, seed=5, max_iters=30)
-    m = state.w_mean @ state.k_eff
-    assert np.max(np.abs(state.y_mean.sum(axis=0) - m.sum(axis=0))) < 1e-9
+    assert state.y_mean.shape == targets.shape
+    assert np.all((1 - 2 * targets) * state.y_mean > 0.0)
 
 
 # --- Regressor and scale updates -------------------------------------------------
@@ -206,10 +227,9 @@ def test_regressor_update_matches_ridge_formula():
     update_regressors_and_scales(state)
     k = 1.0 + JITTER
     gain = k / (k**2 + 1.0)
-    for c in range(2):
-        assert_allclose(state.w_cov[c], np.eye(2) / (k**2 + 1.0), rtol=1e-12)
-        assert_allclose(state.w_mean[c], gain * state.y_mean[c], rtol=1e-12)
-        assert_allclose(state.w_logdet[c], -2.0 * np.log(k**2 + 1.0), rtol=1e-12)
+    assert_allclose(state.w_cov, np.eye(2) / (k**2 + 1.0), rtol=1e-12)
+    assert_allclose(state.w_mean, gain * state.y_mean, rtol=1e-12)
+    assert_allclose(state.w_logdet, -2.0 * np.log(k**2 + 1.0), rtol=1e-12)
     assert_allclose(state.scale_shape, GAMMA_PRIOR_SHAPE + 0.5, rtol=0, atol=0)
     expected_rate = GAMMA_PRIOR_RATE + 0.5 * (gain**2 + 1.0 / (k**2 + 1.0))
     assert_allclose(state.scale_rate, expected_rate, rtol=1e-12)
@@ -236,6 +256,85 @@ def test_solve_spd_escalates_regularisation():
 def test_solve_spd_gives_up_on_hopeless_input():
     with pytest.raises(NumericalFailureError):
         _solve_spd(-np.eye(3))
+
+
+def per_class_moments(m, targets):
+    """The per-class link: (2, N) means in, both classes' auxiliaries out."""
+    sign = 1.0 - 2.0 * targets
+    x = sign * (m[0] - m[1]) / np.sqrt(2.0)
+    log_z = log_ndtr(x)
+    shift = sign * np.exp(norm.logpdf(x) - log_z) / np.sqrt(2.0)
+    return m + np.stack([shift, -shift]), log_z
+
+
+def per_class_bound(w, cov, logdet, shape, rate, k_eff, k_eff_sq, targets):
+    """The variational bound summed class by class over (2, ...) factors."""
+    _, log_z = per_class_moments(w @ k_eff, targets)
+    bound = log_z.sum() - 0.5 * sum(np.sum(c * k_eff_sq) for c in cov)
+    e_alpha = shape / rate
+    e_log_alpha = digamma(shape) - np.log(rate)
+    w_sq = w**2 + np.stack([np.diag(c) for c in cov])
+    bound += 0.5 * np.sum(e_log_alpha) - 0.5 * np.sum(e_alpha * w_sq)
+    bound += 0.5 * np.sum(logdet) + 0.5 * w.size
+    a0, b0 = GAMMA_PRIOR_SHAPE, GAMMA_PRIOR_RATE
+    prior = (a0 - 1.0) * e_log_alpha - b0 * e_alpha + a0 * np.log(b0) - gammaln(a0)
+    entropy = shape - np.log(rate) + gammaln(shape) + (1.0 - shape) * digamma(shape)
+    return bound + np.sum(prior + entropy)
+
+
+def test_single_regressor_matches_per_class_updates(toy_grams, toy_dataset):
+    # The model family solves each class's posterior on its own auxiliaries,
+    # weights mixture candidates by both classes' residuals and sums the bound
+    # class by class.  With class 1's auxiliaries at -y all three must agree
+    # with the single regressor the state keeps.
+    _, targets = toy_dataset
+    state = train(toy_grams, targets, seed=2, max_iters=4)
+    aux = np.stack([state.y_mean, -state.y_mean])
+    shape = np.stack([state.scale_shape] * 2)
+    rate = np.stack([state.scale_rate] * 2)
+    solves = [
+        _solve_spd(state.k_eff_sq + np.diag(shape[c] / rate[c])) for c in range(2)
+    ]
+    cov = np.stack([s[0] for s in solves])
+    logdet = np.array([s[1] for s in solves])
+    w = np.stack([cov[c] @ (state.k_eff @ aux[c]) for c in range(2)])
+    rate = GAMMA_PRIOR_RATE + 0.5 * (w**2 + np.stack([np.diag(c) for c in cov]))
+
+    update_regressors_and_scales(state)
+    w_pair, cov_diag_pair = state.class_posteriors()
+    assert_allclose(w_pair, w, rtol=1e-12, atol=0)
+    assert_allclose(cov_diag_pair, np.stack([np.diag(c) for c in cov]), rtol=1e-12, atol=0)
+    for c in range(2):
+        assert_allclose(state.w_cov, cov[c], rtol=1e-12, atol=0)
+        assert_allclose(state.w_logdet, logdet[c], rtol=1e-12, atol=0)
+        assert_allclose(state.scale_rate, rate[c], rtol=1e-12, atol=0)
+
+    update_auxiliaries(state)
+    aux, _ = per_class_moments(w @ state.k_eff, targets)
+    assert_allclose(np.stack([state.y_mean, -state.y_mean]), aux, rtol=1e-12, atol=0)
+
+    candidates = np.random.default_rng(8).dirichlet(state.rho, size=BETA_SAMPLES)
+    per_space = np.stack([(w @ g).ravel() for g in state.grams])
+    log_w = -0.5 * np.sum((aux.ravel() - candidates @ per_space) ** 2, axis=1)
+    weights = np.exp(log_w - log_w.max())
+    beta = weights @ candidates / weights.sum()
+    beta /= beta.sum()
+    resample_beta(state, seed=8)
+    assert_allclose(state.beta, beta, rtol=1e-12, atol=0)
+    assert_allclose(state.rho, RHO_BASE + len(state.grams) * beta, rtol=1e-12, atol=0)
+
+    w_pair, _ = state.class_posteriors()
+    expected = per_class_bound(
+        w_pair,
+        np.stack([state.w_cov] * 2),
+        np.full(2, state.w_logdet),
+        np.stack([state.scale_shape] * 2),
+        np.stack([state.scale_rate] * 2),
+        state.k_eff,
+        state.k_eff_sq,
+        targets,
+    )
+    assert_allclose(lower_bound(state), expected, rtol=1e-12, atol=0)
 
 
 # --- Lower bound ------------------------------------------------------------------
@@ -304,7 +403,7 @@ def test_label_swap_mirrors_the_posterior(toy_grams, toy_dataset):
     _, targets = toy_dataset
     a = train(toy_grams, targets, seed=6, max_iters=30)
     b = train(toy_grams, 1 - targets, seed=6, max_iters=30)
-    assert np.max(np.abs(a.w_mean - b.w_mean[::-1])) < 1e-9
+    assert np.max(np.abs(a.w_mean + b.w_mean)) < 1e-9
     assert np.max(np.abs(a.beta - b.beta)) < 1e-9
     assert abs(a.lb_trace[-1] - b.lb_trace[-1]) < 1e-7
 
@@ -361,8 +460,8 @@ def test_init_state_starting_point(toy_grams, toy_dataset):
     state = init_state(toy_grams, targets)
     n = len(targets)
     assert_allclose(state.beta, [0.5, 0.5], rtol=0, atol=0)
-    assert np.array_equal(state.w_mean, np.zeros((2, n)))
-    assert state.y_mean[targets, np.arange(n)].min() == 1.0
+    assert np.array_equal(state.w_mean, np.zeros(n))
+    assert np.array_equal(state.y_mean, np.where(targets == 0, 1.0, -1.0))
     composite = 0.5 * toy_grams[0] + 0.5 * toy_grams[1]
     assert_allclose(state.k_eff, composite + JITTER * np.eye(n), rtol=0, atol=1e-15)
 
