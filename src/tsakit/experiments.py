@@ -192,14 +192,13 @@ def train_model(
         train_features.append(xs)
 
     state = train(grams, targets, seed=seed)
-    w_mean, w_cov_diag = state.class_posteriors()
     return TrainedModel(
         subset_names=tuple(scheme.subsets),
         standardizers=tuple(standardizers),
         kernel_specs=tuple(specs),
         beta=state.beta.copy(),
-        w_mean=w_mean,
-        w_cov_diag=w_cov_diag,
+        w_mean=state.w_mean,
+        w_cov_diag=np.diag(state.w_cov).copy(),  # a view would keep the (N, N) matrix alive
         train_features=tuple(train_features),
         class_labels=CLASS_LABELS,
         converged=state.converged,

@@ -37,7 +37,6 @@ KB_FORMAT = 1
 # to uniform and equilibria solvable.
 DISPATCH_CONCENTRATION = 8.0
 
-NOISE_DEFAULT = 0.01
 NOISE_MAX = 0.05
 
 # More than this fraction of failed grid cells means the plan does not fit

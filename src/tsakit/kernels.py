@@ -9,6 +9,7 @@ validated everywhere they enter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,13 +37,13 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.kind == GAUSSIAN:
-            if self.sigma is None or not (self.sigma > 0):
-                raise InvalidArgumentError("gaussian kernel needs sigma > 0")
+            if self.sigma is None or not (0 < self.sigma < math.inf):
+                raise InvalidArgumentError("gaussian kernel needs a finite sigma > 0")
         elif self.kind == POLYNOMIAL:
             if int(self.degree) != self.degree or self.degree < 1:
                 raise InvalidArgumentError("polynomial degree must be a positive integer")
-            if self.offset < 0:
-                raise InvalidArgumentError("polynomial offset must be non-negative")
+            if not (0 <= self.offset < math.inf):
+                raise InvalidArgumentError("polynomial offset must be finite and non-negative")
         else:
             raise InvalidArgumentError(f"unknown kernel kind {self.kind!r}")
 
@@ -95,9 +96,9 @@ def validate_simplex(beta: np.ndarray) -> np.ndarray:
     beta = np.asarray(beta, dtype=float)
     if beta.ndim != 1 or beta.size < 1:
         raise SimplexViolationError("mixture weights must form a 1-D vector")
-    if np.any(beta < -SIMPLEX_NEG_TOL):
-        raise SimplexViolationError(f"negative mixture weight in {beta!r}")
-    if abs(float(beta.sum()) - 1.0) > SIMPLEX_SUM_TOL:
+    if not np.all(beta >= -SIMPLEX_NEG_TOL):
+        raise SimplexViolationError(f"negative or non-finite mixture weight in {beta!r}")
+    if not abs(float(beta.sum()) - 1.0) <= SIMPLEX_SUM_TOL:
         raise SimplexViolationError(f"mixture weights sum to {float(beta.sum())!r}, not 1")
     return beta
 

@@ -6,7 +6,7 @@ an automatic-relevance Gamma prior on each weight's precision; latent
 auxiliary responses y_cn carry the probit link: sample n belongs to the
 class whose auxiliary response is largest.  Stability assessment has two
 classes (stable, unstable), for which the link has closed forms.  Class 1's
-regressor is the negation of class 0's, so one Gaussian posterior is solved.
+regressor is the negation of class 0's, so one Gaussian posterior is kept.
 
 Inference is mean-field coordinate ascent.  Regressor posteriors are
 Gaussian with covariance (K K' + A)^-1, auxiliary posteriors are
@@ -84,10 +84,6 @@ class ProbitMKLState:
         self.k_eff = compose(self.grams, beta) + JITTER * np.eye(self.n_samples)
         self.k_eff_sq = self.k_eff @ self.k_eff
         self.beta = np.asarray(beta, dtype=float)
-
-    def class_posteriors(self):
-        """Regressor means and covariance diagonals of both classes, (2, N) each."""
-        return np.stack([self.w_mean, -self.w_mean]), np.stack([np.diag(self.w_cov)] * 2)
 
 
 def init_state(grams, targets) -> ProbitMKLState:
@@ -303,14 +299,13 @@ def train(
 class Prediction:
     probabilities: np.ndarray
     label: int
-    mean: np.ndarray
-    spread: np.ndarray
 
 
 @dataclass(frozen=True)
 class TrainedModel:
     """Everything prediction needs, detached from the training run.
 
+    `w_mean` and `w_cov_diag` are class 0's regressor posterior, (N,) each.
     `class_labels[c]` maps class index c back to the external label; index
     order is meaningful because argmax ties resolve to the first entry.
     """
@@ -350,50 +345,45 @@ def _composite_rows(model: TrainedModel, raw: np.ndarray) -> np.ndarray:
 
 
 def _class_probabilities(mean: np.ndarray, spread: np.ndarray) -> np.ndarray:
-    """P(class 0) = Phi((m_0 - m_1) / sqrt(v_0^2 + v_1^2)), P(class 1) its complement."""
-    x = (mean[:, 0] - mean[:, 1]) / np.hypot(spread[:, 0], spread[:, 1])
+    """[Phi(x), Phi(-x)] with x = (m - (-m)) / sqrt(s^2 + s^2) = sqrt(2) m / s."""
+    x = math.sqrt(2.0) * mean / spread
     return np.column_stack([ndtr(x), ndtr(-x)])
 
 
 def model_probabilities(model: TrainedModel, raw: np.ndarray):
-    """Class probabilities for a batch of raw feature rows.
+    """Class probabilities for a batch of raw feature rows, (n, 2).
 
-    The closed-form probabilities are renormalised to sum to one.  Also
-    returns the predictive means and spreads per class.  The raw rows are
-    standardized internally with the model's own transforms, and taken in
-    blocks of PREDICT_BLOCK_ENTRIES kernel entries.
+    Also returns class 0's predictive mean and spread, (n,) each.  The raw
+    rows are standardized internally with the model's own transforms, and
+    taken in blocks of PREDICT_BLOCK_ENTRIES kernel entries.
     """
     raw = np.atleast_2d(np.asarray(raw, dtype=float))
     if raw.ndim != 2 or raw.shape[1] != model.n_features:
         raise InvalidArgumentError(
             f"feature rows must hold {model.n_features} values, got shape {raw.shape}"
         )
-    mean = np.empty((raw.shape[0], N_CLASSES))
-    spread = np.empty((raw.shape[0], N_CLASSES))
-    step = max(1, PREDICT_BLOCK_ENTRIES // model.w_mean.shape[1])
+    mean = np.empty(raw.shape[0])
+    spread = np.empty(raw.shape[0])
+    step = max(1, PREDICT_BLOCK_ENTRIES // model.w_mean.size)
     for start in range(0, raw.shape[0], step):
         rows = slice(start, start + step)
         k = _composite_rows(model, raw[rows])
-        mean[rows] = k @ model.w_mean.T
-        spread[rows] = np.sqrt(1.0 + k**2 @ model.w_cov_diag.T)
-    probs = _class_probabilities(mean, spread)
-    probs = probs / probs.sum(axis=1, keepdims=True)
-    return probs, mean, spread
+        mean[rows] = k @ model.w_mean
+        spread[rows] = np.sqrt(1.0 + k**2 @ model.w_cov_diag)
+    return _class_probabilities(mean, spread), mean, spread
 
 
 def predictive_distribution(model: TrainedModel, sample) -> Prediction:
     """Full predictive law for one raw feature row."""
-    probs, mean, spread = model_probabilities(model, sample)
-    label = model.class_labels[int(np.argmax(probs[0]))]
-    return Prediction(
-        probabilities=probs[0], label=int(label), mean=mean[0], spread=spread[0]
-    )
+    probs = model_probabilities(model, sample)[0][0]
+    label = model.class_labels[int(np.argmax(probs))]
+    return Prediction(probabilities=probs, label=int(label))
 
 
 # ---------------------------------------------------------------------------
 # Model document, versioned and byte-stable.
 
-MODEL_FORMAT = 1
+MODEL_FORMAT = 2
 
 
 def _standardizer_to_doc(s: Standardizer) -> dict:
@@ -483,6 +473,10 @@ def _check_agreement(model: TrainedModel) -> None:
     """Refuse a model whose parts do not fit together."""
     if len(model.class_labels) != N_CLASSES:
         raise FormatError(f"model document must name {N_CLASSES} class labels")
+    values = (model.beta, model.w_mean, model.w_cov_diag, *model.train_features)
+    values += tuple(v for std in model.standardizers for v in (std.mean, std.std))
+    if not all(np.all(np.isfinite(v)) for v in values) or np.any(model.w_cov_diag < 0.0):
+        raise FormatError("model values must be finite, and w_cov_diag non-negative")
     validate_simplex(model.beta)
     parts = (model.standardizers, model.kernel_specs, model.train_features, model.beta)
     if any(len(p) != len(model.subset_names) for p in parts):
@@ -491,9 +485,9 @@ def _check_agreement(model: TrainedModel) -> None:
         )
     n = len(model.train_features[0])
     if any(x.ndim != 2 or len(x) != n for x in model.train_features) or any(
-        w.shape != (N_CLASSES, n) for w in (model.w_mean, model.w_cov_diag)
+        w.shape != (n,) for w in (model.w_mean, model.w_cov_diag)
     ):
-        raise FormatError(f"w_mean and w_cov_diag must be 2 x N for N = {n} training rows")
+        raise FormatError(f"w_mean and w_cov_diag must hold N = {n} entries, one per row")
     for name, std, x in zip(model.subset_names, model.standardizers, model.train_features):
         width = x.shape[1] if name == "union" else len(FEATURE_NAMES[subset_columns(name)])
         if {x.shape[1:], std.mean.shape, std.std.shape, std.zero_variance.shape} != {(width,)}:

@@ -147,14 +147,14 @@ def test_probit_suite(toy_grams, toy_dataset):
     worst_sum = 0.0
     for _ in range(100):
         n = int(rng.integers(1, 12))
-        mean = rng.uniform(-5.0, 5.0, size=(n, 2))
-        spread = rng.uniform(1.0, 3.0, size=(n, 2))
+        mean = rng.uniform(-5.0, 5.0, size=n)
+        spread = rng.uniform(1.0, 3.0, size=n)
         probs = _class_probabilities(mean, spread)
         worst_sum = max(worst_sum, float(np.max(np.abs(probs.sum(axis=1) - 1.0))))
 
+    # Class means (g/2, -g/2) at unit spreads: P(class 0) = Phi(g / sqrt(2)).
     grid = np.arange(-3.0, 3.5, 1.0)
-    mean = np.column_stack([grid, np.zeros_like(grid)])
-    probs = _class_probabilities(mean, np.ones_like(mean))
+    probs = _class_probabilities(0.5 * grid, np.ones_like(grid))
     worst_closed = float(np.max(np.abs(probs[:, 0] - ndtr(grid / np.sqrt(2.0)))))
 
     # Conditioning on y_true > y_rival keeps E[y_true] > E[y_rival]; class 1's
@@ -328,14 +328,13 @@ def _fit_blob_model(x, targets, seed=0):
     xs = std.transform(x)
     spec = KernelSpec(kind=GAUSSIAN, sigma=median_width(xs))
     state = train([base_gram(xs, spec)], targets, seed=seed)
-    w_mean, w_cov_diag = state.class_posteriors()
     return TrainedModel(
         subset_names=("union",),
         standardizers=(std,),
         kernel_specs=(spec,),
         beta=state.beta.copy(),
-        w_mean=w_mean,
-        w_cov_diag=w_cov_diag,
+        w_mean=state.w_mean,
+        w_cov_diag=np.diag(state.w_cov),
         train_features=(xs,),
         class_labels=(0, 1),
         converged=state.converged,

@@ -1,9 +1,11 @@
-"""What the benchmark's tracer looks up in tsakit must keep existing.
+"""What the benchmark looks up in tsakit must keep existing.
 
 `bench/tracing.py` wraps tsakit functions by (module, attribute) and reads
 a few fields off their results.  A lookup that stops resolving is skipped
 there with only a warning in a traced run, and its per-layer metric reads
 as unmeasured; these checks make such a removal fail the test suite.
+`bench/stages.py` calls the training, prediction and simulation API
+directly, and a change there would crash or fail the benchmark run.
 """
 
 import collections
@@ -13,7 +15,7 @@ import pathlib
 
 import numpy as np
 
-from tsakit import simulator
+from tsakit import experiments, kb, mkprobit, simulator
 from tsakit.mkprobit import init_state, train, update_regressors_and_scales
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -61,3 +63,27 @@ def test_jitter_escalation_leaves_one_counted_message():
     counters = collections.Counter()
     _load_tracing()._count_fit(counters, (), {}, state)
     assert counters["jitter_escalations"] == 1
+
+
+def test_prediction_api_keeps_what_the_stages_read(small_kb):
+    # The predict stage trains with a positional seed, sizes its arrays from
+    # class_labels, takes [0] of model_probabilities' result as the (n, 2)
+    # probabilities and reads .probabilities and .label off each prediction.
+    split_seed, train_seed = np.random.SeedSequence(0).spawn(2)
+    part = kb.split(small_kb, 12, seed=split_seed)
+    scheme = experiments.parse_scheme("F1(Kg)+F3(Kg)")
+    model = experiments.train_model(small_kb, part.train_indices, scheme, train_seed)
+    assert len(model.class_labels) == 2
+    rows = small_kb.feature_matrix
+    probs = mkprobit.model_probabilities(model, rows)[0]
+    assert probs.shape == (len(rows), 2)
+    assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-9
+    pred = mkprobit.predictive_distribution(model, rows[0])
+    assert pred.probabilities.shape == (2,)
+    assert pred.label in model.class_labels
+
+
+def test_scenario_takes_a_dispatch_seed():
+    # The simulate stage builds each scenario with its dispatch seed.
+    scenario = simulator.Scenario(load_scale=1.05, dispatch_seed=3, fault_bus=7)
+    assert scenario.dispatch_seed == 3

@@ -39,7 +39,7 @@ from tsakit.simulator import Scenario, simulate, trajectory_to_csv
 SMALL_KB_SHA256 = "79cc080242e0b6c64358842728c622867088337620d8065cbeed4bbdcba14b84"
 # The same plan with noise_max_rel_error = 0.01.
 NOISY_SMALL_KB_SHA256 = "26df5f26525f7c6897a33ce21246f7847532421e6abd2e4a4fbfd915066726dd"
-MODEL_SHA256 = "cfdecab3d9974b262a0fc04849213295852c79ebc60e9fecb5e85b08cf92aeff"
+MODEL_SHA256 = "a38cdcb0c191df8fce94f76a102b8023afe5fb2e0cb3ad6c0414fbc9ff95b8f4"
 # `tsakit simulate --fault-bus 7 --load-scale 1.1` writes this CSV.
 TRAJECTORY_SHA256 = "f6d9354eee1acf34942540d1b145b344eb2afa1f24910ed7387818cec746a611"
 # table4 over seed 0 at n_train = 12, no KB hash line.

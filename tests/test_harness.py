@@ -491,13 +491,23 @@ def _one_beta(doc):
 
 
 def _short_w_mean(doc):
-    doc["w_mean"] = [row[:-1] for row in doc["w_mean"]]
+    doc["w_mean"] = doc["w_mean"][:-1]
+
+
+def _nan_w_mean(doc):
+    doc["w_mean"][0] = float("nan")
+
+
+def _nan_beta(doc):
+    doc["beta"][0] = float("nan")
+
+
+def _negative_w_cov_diag(doc):
+    doc["w_cov_diag"] = [-50.0] * len(doc["w_cov_diag"])
 
 
 def _three_classes(doc):
     doc["class_labels"].append(0)
-    doc["w_mean"].append(doc["w_mean"][0])
-    doc["w_cov_diag"].append(doc["w_cov_diag"][0])
 
 
 def _short_standardizer(doc):
@@ -507,8 +517,27 @@ def _short_standardizer(doc):
 
 @pytest.mark.parametrize("command", ["predict", "eval"])
 @pytest.mark.parametrize(
-    "damage", [_cut_beta, _one_beta, _short_w_mean, _three_classes, _short_standardizer],
-    ids=["beta-cut", "beta-one-entry", "w-mean-short", "three-classes", "standardizer-short"],
+    "damage",
+    [
+        _cut_beta,
+        _one_beta,
+        _short_w_mean,
+        _nan_w_mean,
+        _nan_beta,
+        _negative_w_cov_diag,
+        _three_classes,
+        _short_standardizer,
+    ],
+    ids=[
+        "beta-cut",
+        "beta-one-entry",
+        "w-mean-short",
+        "w-mean-nan",
+        "beta-nan",
+        "w-cov-diag-negative",
+        "three-classes",
+        "standardizer-short",
+    ],
 )
 def test_cli_refuses_model_that_disagrees_with_itself(
     command, damage, kb_file, model_file, small_kb, tmp_path, capsys

@@ -168,6 +168,9 @@ def test_median_width_scales_linearly():
         dict(kind=POLYNOMIAL, degree=2.5),
         dict(kind=POLYNOMIAL, offset=-0.1),
         dict(kind="linear"),
+        dict(kind=GAUSSIAN, sigma=np.inf),
+        dict(kind=POLYNOMIAL, offset=np.nan),
+        dict(kind=POLYNOMIAL, offset=np.inf),
     ],
 )
 def test_kernel_spec_rejects(kwargs):
@@ -194,6 +197,8 @@ def test_validate_simplex_accepts_boundary_noise():
         np.array([-1e-9, 1.0 + 1e-9]),
         np.zeros((2, 2)),
         np.array([]),
+        np.array([np.nan, 0.5, 0.5]),
+        np.array([np.nan]),
     ],
 )
 def test_validate_simplex_rejects(beta):

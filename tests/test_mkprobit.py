@@ -58,14 +58,13 @@ def fit_plain_model(x, targets, seed=0, max_iters=200):
     xs = std.transform(x)
     spec = KernelSpec(kind=GAUSSIAN, sigma=median_width(xs))
     state = train([base_gram(xs, spec)], targets, seed=seed, max_iters=max_iters)
-    w_mean, w_cov_diag = state.class_posteriors()
     return TrainedModel(
         subset_names=("union",),
         standardizers=(std,),
         kernel_specs=(spec,),
         beta=state.beta.copy(),
-        w_mean=w_mean,
-        w_cov_diag=w_cov_diag,
+        w_mean=state.w_mean,
+        w_cov_diag=np.diag(state.w_cov),
         train_features=(xs,),
         class_labels=(0, 1),
         converged=state.converged,
@@ -301,9 +300,7 @@ def test_single_regressor_matches_per_class_updates(toy_grams, toy_dataset):
     rate = GAMMA_PRIOR_RATE + 0.5 * (w**2 + np.stack([np.diag(c) for c in cov]))
 
     update_regressors_and_scales(state)
-    w_pair, cov_diag_pair = state.class_posteriors()
-    assert_allclose(w_pair, w, rtol=1e-12, atol=0)
-    assert_allclose(cov_diag_pair, np.stack([np.diag(c) for c in cov]), rtol=1e-12, atol=0)
+    assert_allclose(np.stack([state.w_mean, -state.w_mean]), w, rtol=1e-12, atol=0)
     for c in range(2):
         assert_allclose(state.w_cov, cov[c], rtol=1e-12, atol=0)
         assert_allclose(state.w_logdet, logdet[c], rtol=1e-12, atol=0)
@@ -323,9 +320,8 @@ def test_single_regressor_matches_per_class_updates(toy_grams, toy_dataset):
     assert_allclose(state.beta, beta, rtol=1e-12, atol=0)
     assert_allclose(state.rho, RHO_BASE + len(state.grams) * beta, rtol=1e-12, atol=0)
 
-    w_pair, _ = state.class_posteriors()
     expected = per_class_bound(
-        w_pair,
+        np.stack([state.w_mean, -state.w_mean]),
         np.stack([state.w_cov] * 2),
         np.full(2, state.w_logdet),
         np.stack([state.scale_shape] * 2),
@@ -471,35 +467,37 @@ def test_init_state_starting_point(toy_grams, toy_dataset):
 
 @pytest.mark.parametrize("a", [-3.0, -1.5, 0.0, 0.7, 2.5])
 def test_two_class_probability_closed_form(a):
-    mean = np.array([[a, 0.0]])
-    spread = np.ones((1, 2))
-    probs = _class_probabilities(mean, spread)
+    # Class means (a/2, -a/2) at unit spreads: P(class 0) = Phi(a / sqrt(2)).
+    probs = _class_probabilities(np.array([0.5 * a]), np.ones(1))
     assert_allclose(probs[0, 0], ndtr(a / np.sqrt(2.0)), rtol=1e-12, atol=0)
     assert_allclose(probs[0].sum(), 1.0, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("ratio", [1.0, 1.5, 2.0])
-def test_two_class_probability_with_unequal_spreads(ratio):
-    # P(class 0) = Phi((m0 - m1) / sqrt(v0^2 + v1^2)).  The 128-node oracle
-    # holds this to 1e-12 for spread ratios up to 2 (at 3 it is near 1e-10).
+@pytest.mark.parametrize("scale", [1.0, 1.5, 2.0])
+def test_two_class_probability_matches_quadrature_oracle(scale):
+    # The class means are (m, -m) with equal spreads s; the 128-node oracle
+    # takes both per-class columns.
     d = np.linspace(-8.0, 8.0, 161)
-    for v0, v1 in [(1.0, ratio), (ratio, 1.0), (2.2, 2.2 * ratio), (1.3 * ratio, 1.3)]:
-        mean = np.column_stack([d * np.hypot(v0, v1), np.zeros_like(d)])
-        spread = np.column_stack([np.full_like(d, v0), np.full_like(d, v1)])
+    for s in [1.0, scale, 2.2 * scale, 1.3 * scale]:
+        mean = d * s / np.sqrt(2.0)
+        spread = np.full_like(d, s)
         probs = _class_probabilities(mean, spread)
         assert_allclose(probs[:, 0], ndtr(d), rtol=1e-12, atol=0)
         assert_allclose(probs[:, 1], ndtr(-d), rtol=1e-12, atol=0)
-        assert_allclose(probs, quadrature_probabilities(mean, spread), rtol=1e-12, atol=0)
+        oracle = quadrature_probabilities(
+            np.column_stack([mean, -mean]), np.column_stack([spread, spread])
+        )
+        assert_allclose(probs, oracle, rtol=1e-12, atol=0)
 
 
 def test_raw_probabilities_sum_to_one():
     rng = np.random.default_rng(13)
     for _ in range(20):
         n = int(rng.integers(1, 8))
-        mean = rng.uniform(-5.0, 5.0, size=(n, 2))
-        spread = rng.uniform(1.0, 3.0, size=(n, 2))
+        mean = rng.uniform(-5.0, 5.0, size=n)
+        spread = rng.uniform(1.0, 3.0, size=n)
         probs = _class_probabilities(mean, spread)
-        assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-6
+        assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-12
         assert probs.min() >= 0.0
 
 
@@ -516,12 +514,11 @@ def test_model_probability_plumbing():
     x_train, t_train = make_blobs(15, seed=22)
     model = fit_plain_model(x_train, t_train, max_iters=60)
     x_query = x_train[:5]
-    normed, mean, spread = model_probabilities(model, x_query)
-    raw = _class_probabilities(mean, spread)
-    assert np.max(np.abs(raw.sum(axis=1) - 1.0)) < 1e-6
+    probs, mean, spread = model_probabilities(model, x_query)
+    assert mean.shape == spread.shape == (5,)
     assert np.all(spread >= 1.0)  # unit link noise plus a quadratic form
-    assert_allclose(normed.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-    assert np.array_equal(normed, raw / raw.sum(axis=1, keepdims=True))
+    assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert np.array_equal(probs, _class_probabilities(mean, spread))
 
     single = predictive_distribution(model, x_query[0])
     assert single.probabilities.shape == (2,)
@@ -593,7 +590,8 @@ def test_model_document_round_trip_is_byte_stable(tmp_path):
         ("not json", "JSON"),
         ("[1, 2]", "object"),
         ('{"model_format": 99}', "format"),
-        ('{"model_format": 1}', "field"),
+        ('{"model_format": 1}', "format"),
+        ('{"model_format": 2}', "field"),
     ],
 )
 def test_model_document_rejects_malformed(text, fragment):
