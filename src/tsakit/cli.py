@@ -141,6 +141,8 @@ def _cmd_predict(args) -> int:
             x = np.array([float(v) for v in row])
         except ValueError:
             raise InvalidArgumentError(f"feature line {lineno} is not numeric")
+        if not np.isfinite(x).all():
+            raise InvalidArgumentError(f"feature line {lineno} holds a non-finite value")
         pred = mkprobit.predictive_distribution(model, x)
         probs = " ".join(f"{p:.6f}" for p in pred.probabilities)
         print(f"{pred.label:+d} {probs}")

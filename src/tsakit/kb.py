@@ -69,8 +69,8 @@ class ScenarioPlan:
             raise InvalidArgumentError("plan needs at least one fault bus")
         if len(set(self.fault_buses)) != len(self.fault_buses):
             raise InvalidArgumentError("fault buses must be distinct")
-        if any(lv <= 0 for lv in self.load_levels):
-            raise InvalidArgumentError("load levels must be positive")
+        if not all(0 < lv < np.inf for lv in self.load_levels):
+            raise InvalidArgumentError("load levels must be positive and finite")
         # Scenario ids label a level to two decimals; each label must be unique.
         level_labels = {f"{lv:.2f}" for lv in self.load_levels}
         if len(level_labels) != len(self.load_levels):
@@ -335,11 +335,11 @@ def kb_from_text(text: str) -> KnowledgeBase:
         raise FormatError("feature order in header does not match Tz1..Tz23", line=1)
     try:
         plan = _plan_from_doc(header["plan"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"header plan is incomplete or invalid: {exc}", line=1) from None
     try:
         noise_max_rel_error = float(header.get("noise_max_rel_error", 0.0))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"bad header field: {exc}", line=1) from None
     if not 0.0 <= noise_max_rel_error <= NOISE_MAX:
         raise FormatError(f"noise_max_rel_error must lie in [0, {NOISE_MAX}]", line=1)
@@ -361,7 +361,7 @@ def kb_from_text(text: str) -> KnowledgeBase:
             values = np.array(rec["features"], dtype=float)
             lab = int(rec["label"])
             sid = str(rec["id"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"record is incomplete: {exc}", line=lineno) from None
         if values.shape != (len(FEATURE_NAMES),):
             raise FormatError(
@@ -375,10 +375,16 @@ def kb_from_text(text: str) -> KnowledgeBase:
         ids.append(sid)
     if not rows:
         raise FormatError("knowledge base holds no records")
+    matrix = np.array(rows)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        record_lines = [k for k, line in enumerate(lines[1:], start=2) if line.strip()]
+        lineno = record_lines[finite.argmin()]
+        raise FormatError("record carries a non-finite feature", line=lineno)
     return KnowledgeBase(
         case_id=str(header.get("case_id", "")),
         plan=plan,
-        feature_matrix=np.array(rows),
+        feature_matrix=matrix,
         labels=np.array(labels, dtype=int),
         ids=tuple(ids),
         noise_max_rel_error=noise_max_rel_error,

@@ -464,7 +464,7 @@ def model_from_document(text: str) -> TrainedModel:
         _check_agreement(model)
     except FormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"model document has a missing or corrupt field: {exc}") from None
     return model
 

@@ -5,11 +5,14 @@ transient reactance, loads are constant impedances folded into the bus
 admittance matrix at flat voltage, and the whole network is reduced to
 the generator internal nodes by Kron elimination.  Electrical power at
 the internal nodes then depends on rotor angles only, which is what the
-swing integrator consumes.
+swing integrator consumes.  With u = exp(j delta) and one complex table
+T_ij = E_i E_j conj(Y_ij) per network, Pe = Re(u * (T conj(u))), and the
+imaginary part of the same product gives the Newton Jacobian.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -84,7 +87,7 @@ class NetworkCase:
     loads: tuple[Load, ...]
 
     def __post_init__(self):
-        if self.base_frequency_hz <= 0:
+        if not self.base_frequency_hz > 0:
             raise InvalidArgumentError("base frequency must be positive")
         ids = [b.bus_id for b in self.buses]
         if len(set(ids)) != len(ids):
@@ -105,7 +108,7 @@ class NetworkCase:
         for g in self.generators:
             if g.bus not in known:
                 raise InvalidArgumentError(f"generator bus {g.bus} is unknown")
-            if g.m <= 0 or g.xd <= 0 or g.emf <= 0 or g.d < 0:
+            if not (g.m > 0 and g.xd > 0 and g.emf > 0 and g.d >= 0):
                 raise InvalidArgumentError(
                     f"generator at bus {g.bus} has a non-physical parameter"
                 )
@@ -162,8 +165,8 @@ def fold_loads(case: NetworkCase, load_scale: float = 1.0) -> np.ndarray:
     Loads are converted at flat voltage (|V| = 1), so a demand S becomes the
     shunt admittance conj(S) * load_scale on its bus diagonal.
     """
-    if load_scale <= 0:
-        raise InvalidArgumentError("load_scale must be positive")
+    if not 0 < load_scale < np.inf:
+        raise InvalidArgumentError("load_scale must be positive and finite")
     n = case.n_buses
     y = np.zeros((n, n), dtype=complex)
     for k, bus in enumerate(case.buses):
@@ -248,39 +251,38 @@ def reduce_to_generators(
     return kron_reduce(aug, internal)
 
 
-def power_tables(reduced: np.ndarray, emf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The tables (E_i E_j G_ij, E_i E_j B_ij) that `electrical_power` reads."""
+def power_tables(reduced: np.ndarray, emf: np.ndarray) -> np.ndarray:
+    """The complex table T_ij = E_i E_j conj(Y_ij) that `electrical_power` reads."""
     reduced = np.asarray(reduced)
     emf = np.asarray(emf, dtype=float)
     if reduced.ndim != 2 or reduced.shape[0] != reduced.shape[1]:
         raise InvalidArgumentError("reduced admittance must be square")
     if emf.shape != (reduced.shape[0],):
         raise InvalidArgumentError("emf must hold one entry per reduced-network node")
-    ee = np.outer(emf, emf)
-    return ee * reduced.real, ee * reduced.imag
+    return np.outer(emf, emf) * reduced.conj()
 
 
-def electrical_power(delta: np.ndarray, eg: np.ndarray, eb: np.ndarray, work=None) -> np.ndarray:
+def electrical_power(delta: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Air-gap power at each internal node for rotor angles `delta`.
 
-    Pe_i = sum_j E_i E_j (G_ij cos(d_i - d_j) + B_ij sin(d_i - d_j)) with
-    (eg, eb) from `power_tables`; the j = i term is the E_i^2 G_ii loss.
-    Angles (..., n) take tables (..., n, n); `work` may lend three buffers
-    of that shape, which the integrator reuses across calls.
+    With u = exp(j delta) and T from `power_tables`, Pe = Re(u * (T conj(u))),
+    which is sum_j E_i E_j (G_ij cos(d_i - d_j) + B_ij sin(d_i - d_j)); the
+    j = i term is the E_i^2 G_ii loss.  Angles (..., n) take tables (..., n, n).
     """
     delta = np.asarray(delta, dtype=float)
-    if delta.shape[-1:] != eg.shape[-1:]:
-        raise InvalidArgumentError("angle vector does not match the power tables")
-    if work is None:
-        work = tuple(np.empty(delta.shape + delta.shape[-1:]) for _ in range(3))
-    dd, cos, sin = work
-    np.subtract(delta[..., :, None], delta[..., None, :], out=dd)
-    np.cos(dd, out=cos)
-    np.sin(dd, out=sin)
-    np.multiply(eg, cos, out=cos)
-    np.multiply(eb, sin, out=sin)
-    np.add(cos, sin, out=cos)
-    return np.add.reduce(cos, axis=-1)
+    if delta.shape[-1:] != table.shape[-1:]:
+        raise InvalidArgumentError("angle vector does not match the power table")
+    u = np.exp(1j * delta)
+    return (u * (table @ u.conj()[..., None])[..., 0]).real
+
+
+def _power_jacobian(delta: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """d Pe_i / d delta_j: Im(u_i T_ij conj(u_j)) off the diagonal, minus the row sum on it."""
+    u = np.exp(1j * delta)
+    jac = (u[:, None] * table * u.conj()).imag
+    np.fill_diagonal(jac, 0.0)
+    np.fill_diagonal(jac, -jac.sum(axis=1))
+    return jac
 
 
 def solve_equilibrium(
@@ -299,10 +301,10 @@ def solve_equilibrium(
     n = case.n_generators
     if pm.shape != (n,):
         raise InvalidArgumentError("pm must have one entry per generator")
-    eg, eb = power_tables(reduced, case.emf)
+    table = power_tables(reduced, case.emf)
 
     def mismatch_at(d):
-        return electrical_power(d, eg, eb)[1:] - pm[1:]
+        return electrical_power(d, table)[1:] - pm[1:]
 
     delta = np.zeros(n)
     mismatch = mismatch_at(delta)
@@ -317,11 +319,7 @@ def solve_equilibrium(
             break
         if converged:
             polish_left -= 1
-        dd = delta[:, None] - delta[None, :]
-        jac_full = eg * np.sin(dd) - eb * np.cos(dd)
-        np.fill_diagonal(jac_full, 0.0)
-        np.fill_diagonal(jac_full, -jac_full.sum(axis=1))
-        jac = jac_full[1:, 1:]
+        jac = _power_jacobian(delta, table)[1:, 1:]
         try:
             step = np.linalg.solve(jac, mismatch)
         except np.linalg.LinAlgError as exc:
@@ -358,7 +356,7 @@ def solve_equilibrium(
         )
 
     pm_out = pm.copy()
-    pm_out[0] = electrical_power(delta, eg, eb)[0]
+    pm_out[0] = electrical_power(delta, table)[0]
     return Equilibrium(delta0=delta, pm=pm_out, network=reduced)
 
 
@@ -378,13 +376,21 @@ def solve_equilibrium(
 _SECTIONS = ("buses", "branches", "generators", "loads")
 
 
-def _parse_floats(parts, count, lineno):
-    if len(parts) != count:
-        raise FormatError(f"expected {count} fields, found {len(parts)}", line=lineno)
-    try:
-        return [float(p) for p in parts]
-    except ValueError as exc:
-        raise FormatError(f"bad numeric field: {exc}", line=lineno) from None
+def _section_rows(rows, count, n_ids):
+    """Each row as `count` finite numbers, the first `n_ids` of them integral bus ids."""
+    for lineno, parts in rows:
+        if len(parts) != count:
+            raise FormatError(f"expected {count} fields, found {len(parts)}", line=lineno)
+        try:
+            vals = [float(p) for p in parts]
+        except ValueError as exc:
+            raise FormatError(f"bad numeric field: {exc}", line=lineno) from None
+        if not all(map(math.isfinite, vals)):
+            raise FormatError("numeric fields must be finite", line=lineno)
+        ids = [int(v) for v in vals[:n_ids]]
+        if ids != vals[:n_ids]:
+            raise FormatError("bus ids must be integers", line=lineno)
+        yield ids + vals[n_ids:]
 
 
 def parse_case(text: str, case_id_hint: str = "case") -> NetworkCase:
@@ -416,35 +422,23 @@ def parse_case(text: str, case_id_hint: str = "case") -> NetworkCase:
     except ValueError:
         raise FormatError("base_frequency_hz is not a number") from None
     if not np.isfinite(base_f):
-        raise FormatError("missing base_frequency_hz header")
+        raise FormatError("base_frequency_hz header is missing or not finite")
 
-    buses = []
-    for lineno, parts in rows["buses"]:
-        vals = _parse_floats(parts, 3, lineno)
-        buses.append(Bus(bus_id=int(vals[0]), shunt=complex(vals[1], vals[2])))
-    branches = []
-    for lineno, parts in rows["branches"]:
-        vals = _parse_floats(parts, 4, lineno)
-        branches.append(
-            Branch(from_bus=int(vals[0]), to_bus=int(vals[1]), admittance=complex(vals[2], vals[3]))
-        )
-    generators = []
-    for lineno, parts in rows["generators"]:
-        vals = _parse_floats(parts, 5, lineno)
-        generators.append(Generator(bus=int(vals[0]), m=vals[1], d=vals[2], xd=vals[3], emf=vals[4]))
-    loads = []
-    for lineno, parts in rows["loads"]:
-        vals = _parse_floats(parts, 3, lineno)
-        loads.append(Load(bus=int(vals[0]), p=vals[1], q=vals[2]))
+    buses = tuple(Bus(v[0], complex(v[1], v[2])) for v in _section_rows(rows["buses"], 3, 1))
+    branches = tuple(
+        Branch(v[0], v[1], complex(v[2], v[3])) for v in _section_rows(rows["branches"], 4, 2)
+    )
+    generators = tuple(Generator(*v) for v in _section_rows(rows["generators"], 5, 1))
+    loads = tuple(Load(*v) for v in _section_rows(rows["loads"], 3, 1))
 
     try:
         return NetworkCase(
             case_id=header.get("id", case_id_hint),
             base_frequency_hz=base_f,
-            buses=tuple(buses),
-            branches=tuple(branches),
-            generators=tuple(generators),
-            loads=tuple(loads),
+            buses=buses,
+            branches=branches,
+            generators=generators,
+            loads=loads,
         )
     except InvalidArgumentError as exc:
         raise FormatError(str(exc)) from exc

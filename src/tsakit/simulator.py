@@ -4,7 +4,9 @@ A scenario is integrated through three network segments: the pre-fault
 network holding its equilibrium, a fault-on network with the faulted bus
 grounded through a large shunt, and the restored pre-fault network out to
 the observation horizon.  Integration is fixed-step RK4 with ten internal
-steps per cycle; the trajectory is sampled once per cycle.  One RK4 loop
+steps per cycle; the trajectory is sampled once per cycle.  Each segment
+is one complex power table per scenario (`network.power_tables`), which
+every RK4 stage hands to `network.electrical_power`.  One RK4 loop
 serves both entry points: `simulate_batch` advances many scenarios of a
 case side by side, and `simulate` is its one-scenario case.
 
@@ -49,12 +51,12 @@ class Scenario:
     observation_horizon_s: float = 5.0
 
     def __post_init__(self):
-        if self.load_scale <= 0:
-            raise InvalidArgumentError("load_scale must be positive")
+        if not 0 < self.load_scale < np.inf:
+            raise InvalidArgumentError("load_scale must be positive and finite")
         if self.fault_clearing_cycles < 1:
             raise InvalidArgumentError("fault_clearing_cycles must be at least 1")
-        if self.observation_horizon_s <= 0:
-            raise InvalidArgumentError("observation horizon must be positive")
+        if not 0 < self.observation_horizon_s < np.inf:
+            raise InvalidArgumentError("observation horizon must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,7 @@ class StabilityLabel:
 def _segment_tables(case: NetworkCase, scenarios, equilibria):
     """Pre-fault and fault-on `power_tables`, stacked over lanes.
 
-    Each table has shape (n_lanes, n_gen, n_gen).  A lane's intact network
+    Each stack has shape (n_lanes, n_gen, n_gen).  A lane's intact network
     is the one its equilibrium was balanced on, which must be the case's
     at the scenario's load scale.  Each distinct network, intact per load
     scale and faulted per (load scale, fault bus), is reduced once.
@@ -125,13 +127,8 @@ def _segment_tables(case: NetworkCase, scenarios, equilibria):
             )
         fault_nets.append(reduced[scenario.load_scale, scenario.fault_bus])
 
-    emf = case.emf
-
-    def stack(nets):
-        eg, eb = zip(*(power_tables(net, emf) for net in nets))
-        return np.stack(eg), np.stack(eb)
-
-    return stack([eq.network for eq in equilibria]), stack(fault_nets)
+    pre = [power_tables(eq.network, case.emf) for eq in equilibria]
+    return np.stack(pre), np.stack([power_tables(net, case.emf) for net in fault_nets])
 
 
 def simulate(
@@ -207,10 +204,9 @@ def simulate_batch(
     minv = np.tile(1.0 / case.inertia, (n_lanes, 1))
     damping = np.tile(case.damping, (n_lanes, 1))
     h = 1.0 / (freq * substeps_per_cycle)
-    work = tuple(np.empty((n_lanes, n_gen, n_gen)) for _ in range(3))
 
-    def accel(angles, speeds, eg, eb):
-        return (pm - electrical_power(angles, eg, eb, work) - damping * speeds) * minv
+    def accel(angles, speeds, table):
+        return (pm - electrical_power(angles, table) - damping * speeds) * minv
 
     delta = np.empty((n_lanes, n_samples, n_gen))
     omega = np.empty((n_lanes, n_samples, n_gen))
@@ -220,24 +216,24 @@ def simulate_batch(
 
     # A lane that overflows runs on as inf/nan; it is found after the loop.
     with np.errstate(invalid="ignore", over="ignore"):
-        for k, (eg, eb) in enumerate(schedule):
+        for k, table in enumerate(schedule):
             delta[:, k] = d
             omega[:, k] = w
-            pe_out[:, k] = electrical_power(d, eg, eb, work)
+            pe_out[:, k] = electrical_power(d, table)
             if k == n_samples - 1:
                 break
             # d' = w, so each stage's angle slope is its speed.
             for _ in range(substeps_per_cycle):
-                k1w = accel(d, w, eg, eb)
+                k1w = accel(d, w, table)
                 d2 = d + 0.5 * h * w
                 w2 = w + 0.5 * h * k1w
-                k2w = accel(d2, w2, eg, eb)
+                k2w = accel(d2, w2, table)
                 d3 = d + 0.5 * h * w2
                 w3 = w + 0.5 * h * k2w
-                k3w = accel(d3, w3, eg, eb)
+                k3w = accel(d3, w3, table)
                 d4 = d + h * w3
                 w4 = w + h * k3w
-                k4w = accel(d4, w4, eg, eb)
+                k4w = accel(d4, w4, table)
                 d = d + (h / 6.0) * (w + 2.0 * w2 + 2.0 * w3 + w4)
                 w = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
 

@@ -36,12 +36,12 @@ from tsakit.mkprobit import model_probabilities, model_to_document
 from tsakit.network import reduce_to_generators, solve_equilibrium
 from tsakit.simulator import Scenario, simulate, trajectory_to_csv
 
-SMALL_KB_SHA256 = "79cc080242e0b6c64358842728c622867088337620d8065cbeed4bbdcba14b84"
+SMALL_KB_SHA256 = "10d076fb721bcedd5afa330c0d544bf312e88b75824f6a18e97a5e83438843df"
 # The same plan with noise_max_rel_error = 0.01.
-NOISY_SMALL_KB_SHA256 = "26df5f26525f7c6897a33ce21246f7847532421e6abd2e4a4fbfd915066726dd"
-MODEL_SHA256 = "a38cdcb0c191df8fce94f76a102b8023afe5fb2e0cb3ad6c0414fbc9ff95b8f4"
+NOISY_SMALL_KB_SHA256 = "35696c1cdddaf443ee07e1b5ac27738ed5146a636371ee73d70a1b83e101b985"
+MODEL_SHA256 = "5e2b3cd59c1f1ba463a3799300a4dd5f0686f670d9c3bac49f29b5ea78ee0839"
 # `tsakit simulate --fault-bus 7 --load-scale 1.1` writes this CSV.
-TRAJECTORY_SHA256 = "f6d9354eee1acf34942540d1b145b344eb2afa1f24910ed7387818cec746a611"
+TRAJECTORY_SHA256 = "0c769ef8c4aef861381ec0ffb6cfb21a0a7777e12d29338d32f6d173cb8e6869"
 # table4 over seed 0 at n_train = 12, no KB hash line.
 SWEEP_CSV_SHA256 = "eea2949c58941de18fbb7eaa6f14c36563a911ec7ca1ca4e1496cec5bd6de7be"
 # (accuracy, iterations, converged) of that sweep's cells in table4 order;
@@ -62,6 +62,9 @@ DATA_DIR = pathlib.Path(__file__).parent / "data"
 DEFAULT_KB = pathlib.Path(__file__).resolve().parents[1] / "bench" / "data" / "kb_default_seed0.txt"
 
 KB_FEATURE_RTOL = 1e-12
+# Written by `tsakit simulate --fault-bus 7 --load-scale 1.1`; never rewritten.
+TRAJECTORY_REFERENCE = DATA_DIR / "trajectory_reference.csv"
+TRAJECTORY_ATOL = 1e-9
 PROBABILITY_ATOL = 1e-10
 # The golden model's class probabilities on its 6 held-out rows (split
 # seed 0), and its iteration count (the cap: this fit never meets the
@@ -130,14 +133,31 @@ def test_model_probabilities_match_reference_within_tolerance(small_kb):
     assert_allclose(probs, GOLDEN_MODEL_PROBABILITIES, rtol=0, atol=PROBABILITY_ATOL)
 
 
-def test_trajectory_csv_matches_pinned_digest(bundled_case):
+def _trajectory_csv(case) -> str:
     level = 1.1
-    pm = dispatch_shares(bundled_case.n_generators, 0) * (bundled_case.total_load_p * level)
-    eq = solve_equilibrium(bundled_case, reduce_to_generators(bundled_case, level), pm)
+    pm = dispatch_shares(case.n_generators, 0) * (case.total_load_p * level)
+    eq = solve_equilibrium(case, reduce_to_generators(case, level), pm)
     scenario = Scenario(load_scale=level, dispatch_seed=0, fault_bus=7)
     out = io.StringIO()
-    trajectory_to_csv(simulate(bundled_case, scenario, eq), out)
-    assert _sha256(out.getvalue()) == TRAJECTORY_SHA256
+    trajectory_to_csv(simulate(case, scenario, eq), out)
+    return out.getvalue()
+
+
+def test_trajectory_csv_matches_pinned_digest(bundled_case):
+    assert _sha256(_trajectory_csv(bundled_case)) == TRAJECTORY_SHA256
+
+
+def test_trajectory_matches_reference_within_tolerance(bundled_case):
+    text = _trajectory_csv(bundled_case)
+    reference = TRAJECTORY_REFERENCE.read_text(encoding="utf-8")
+    assert text.splitlines()[0] == reference.splitlines()[0]
+    got = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
+    want = np.loadtxt(io.StringIO(reference), delimiter=",", skiprows=1)
+    assert got.shape == want.shape
+    exact = [0, 1, 4]  # t_s, gen, pm_pu
+    assert np.array_equal(got[:, exact], want[:, exact])
+    close = [2, 3, 5]  # delta_rad, omega_dev, pe_pu
+    assert_allclose(got[:, close], want[:, close], rtol=0, atol=TRAJECTORY_ATOL)
 
 
 def test_sweep_csv_matches_pinned_digest(small_kb):

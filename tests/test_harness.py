@@ -431,6 +431,36 @@ def test_cli_predict_rejects_garbage(model_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_predict_rejects_non_finite_row(value, model_file, small_kb, tmp_path, capsys):
+    rows = tmp_path / "rows.txt"
+    good = " ".join(repr(float(v)) for v in small_kb.feature_matrix[0])
+    bad = " ".join([value] + [repr(float(v)) for v in small_kb.feature_matrix[1][1:]])
+    rows.write_text(good + "\n" + bad + "\n")
+    rc = cli.main(["predict", "--model", str(model_file), "--features", str(rows)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: feature line 2")
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_cli_refuses_kb_with_non_finite_feature(command, kb_file, model_file, tmp_path, capsys):
+    lines = kb_file.read_text().splitlines()
+    record = json.loads(lines[2])
+    record["features"][5] = float("nan")
+    lines[2] = json.dumps(record)
+    bad = tmp_path / "bad_kb.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    if command == "train":
+        argv = ["train", "--kb", str(bad), "--train-size", "12", "--out", str(tmp_path / "m")]
+    else:
+        argv = ["eval", "--model", str(model_file), "--kb", str(bad)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: line 3:")
+    assert "non-finite" in captured.err
+
+
 @pytest.mark.parametrize(
     "target, old, new",
     [
@@ -445,11 +475,17 @@ def test_cli_predict_rejects_garbage(model_file, tmp_path, capsys):
         ("case", b"format", b"\xffformat"),
         ("traj", b"0.0,1,0.1", b"x,1,0.1"),
         ("traj", b"t_s", b"\xfft_s"),
+        ("kb", b'"dispatches_per_level":3', b'"dispatches_per_level":1e400'),
+        ("case", b"\n1      0.0    0.0", b"\ninf    0.0    0.0"),
+        ("case", b"\n1      0.0    0.0", b"\nnan    0.0    0.0"),
+        ("case", b"\n1      0.0    0.0", b"\n1.5    0.0    0.0"),
+        ("case", b"0.048", b"nan"),
     ],
     ids=[
         "kb-plan-field", "kb-noise-field", "kb-discarded-field", "kb-not-utf8",
         "model-degree", "model-beta", "model-not-utf8", "rows-not-utf8", "case-not-utf8",
-        "traj-field", "traj-not-utf8",
+        "traj-field", "traj-not-utf8", "kb-plan-overflow", "case-bus-inf", "case-bus-nan",
+        "case-bus-fraction", "case-inertia-nan",
     ],
 )
 def test_cli_malformed_input_exits_one(

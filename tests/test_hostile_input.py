@@ -1,0 +1,109 @@
+"""Mutated documents never escape the readers as anything but bad input.
+
+Each reader gets a valid document with a few lines deleted, duplicated or
+garbled, and numbers swapped for non-finite, overflowing or signed-zero
+spellings.  The outcome must be a value or an InvalidArgumentError (which
+FormatError extends), the errors the CLI turns into exit code 1.
+"""
+
+import pathlib
+import re
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from tsakit import cli
+from tsakit.errors import InvalidArgumentError
+from tsakit.experiments import parse_scheme, seed_streams, train_model
+from tsakit.kb import kb_from_text, split
+from tsakit.mkprobit import model_from_document, model_to_document
+from tsakit.network import bundled_case_path, parse_case
+
+DATA_DIR = pathlib.Path(__file__).parent / "data"
+
+HOSTILE_NUMBERS = ("nan", "inf", "-inf", "1e400", "-0", "NaN", "Infinity", "-Infinity")
+NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+@st.composite
+def mutated(draw, text):
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        if not lines:
+            break
+        i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        line = lines[i]
+        op = draw(st.sampled_from(("delete", "duplicate", "garble", "number")))
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, line)
+        elif op == "garble":
+            start = draw(st.integers(min_value=0, max_value=len(line)))
+            stop = draw(st.integers(min_value=start, max_value=min(len(line), start + 8)))
+            lines[i] = line[:start] + draw(st.text(max_size=4)) + line[stop:]
+        else:
+            numbers = list(NUMBER.finditer(line))
+            if numbers:
+                m = draw(st.sampled_from(numbers))
+                hostile = draw(st.sampled_from(HOSTILE_NUMBERS))
+                lines[i] = line[: m.start()] + hostile + line[m.end() :]
+    return "\n".join(lines) + "\n"
+
+
+def _read_case(text, _):
+    case = parse_case(text)
+    numbers = [v for g in case.generators for v in (g.m, g.d, g.xd, g.emf)]
+    numbers += [case.base_frequency_hz] + [ld.p for ld in case.loads]
+    assert np.all(np.isfinite(numbers))
+
+
+def _read_kb(text, _):
+    assert np.all(np.isfinite(kb_from_text(text).feature_matrix))
+
+
+def _read_model(text, _):
+    model_from_document(text)
+
+
+def _read_trajectory(text, scratch):
+    path = scratch / "traj.csv"
+    path.write_text(text, encoding="utf-8")
+    assert np.all(np.isfinite(cli._read_trajectory_csv(path)))
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    kb_text = (DATA_DIR / "small_kb_reference.txt").read_text(encoding="utf-8")
+    kb = kb_from_text(kb_text)
+    split_seed, train_seed = seed_streams(0)
+    part = split(kb, 8, seed=split_seed)
+    model = train_model(kb, part.train_indices, parse_scheme("F1(Kg)+F2(Kp)"), train_seed)
+    trajectory = (DATA_DIR / "trajectory_reference.csv").read_text(encoding="utf-8")
+    return tmp_path_factory.mktemp("fuzz"), {
+        "case": pathlib.Path(bundled_case_path()).read_text(encoding="utf-8"),
+        "kb": kb_text,
+        "model": model_to_document(model),
+        "trajectory": "\n".join(trajectory.splitlines()[:40]) + "\n",
+    }
+
+
+READERS = {"case": _read_case, "kb": _read_kb, "model": _read_model, "trajectory": _read_trajectory}
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_mutated_documents_are_values_or_bad_input(documents, kind):
+    scratch, texts = documents
+    READERS[kind](texts[kind], scratch)  # the unmutated document reads
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(mutated(texts[kind]))
+    def check(text):
+        try:
+            READERS[kind](text, scratch)
+        except InvalidArgumentError:
+            pass
+
+    check()

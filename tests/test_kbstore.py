@@ -63,6 +63,8 @@ def test_cells_iterate_bus_fastest():
         # repeated cells would share one scenario id
         dict(fault_buses=(7, 7)),
         dict(fault_buses=(7,), load_levels=(1.05, 1.049)),
+        dict(fault_buses=(7,), load_levels=(float("nan"),)),
+        dict(fault_buses=(7,), load_levels=(float("inf"),)),
     ],
 )
 def test_plan_rejects_bad_arguments(kwargs):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -27,6 +27,7 @@ from tsakit.network import (
     parse_case,
     power_tables,
     reduce_to_generators,
+    _power_jacobian,
     solve_equilibrium,
 )
 
@@ -157,7 +158,7 @@ def test_electrical_power_matches_scalar_formula():
             )
         return total
 
-    pe = electrical_power(delta, *power_tables(y, emf))
+    pe = electrical_power(delta, power_tables(y, emf))
     assert_allclose(pe, [scalar_pe(0), scalar_pe(1)], rtol=0, atol=1e-14)
 
 
@@ -170,7 +171,7 @@ def test_lossless_power_sums_to_zero(n, seed):
     reduced = 1j * b
     emf = rng.uniform(0.9, 1.1, size=n)
     delta = rng.uniform(-2.0, 2.0, size=n)
-    pe = electrical_power(delta, *power_tables(reduced, emf))
+    pe = electrical_power(delta, power_tables(reduced, emf))
     assert abs(pe.sum()) < 1e-10
 
 
@@ -187,17 +188,42 @@ def test_power_is_invariant_to_common_angle_shift(n, seed, shift):
     y = 0.5 * ((g + g.T) + 1j * (b + b.T))
     emf = rng.uniform(0.9, 1.1, size=n)
     delta = rng.uniform(-2.0, 2.0, size=n)
-    pe = electrical_power(delta, *power_tables(y, emf))
-    pe_shifted = electrical_power(delta + shift, *power_tables(y, emf))
+    pe = electrical_power(delta, power_tables(y, emf))
+    pe_shifted = electrical_power(delta + shift, power_tables(y, emf))
     assert_allclose(pe_shifted, pe, rtol=0, atol=1e-9)
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
+def test_power_jacobian_matches_central_differences(n, seed):
+    # Newton's Jacobian against a numerical derivative of the power it
+    # linearises, on lossy networks; central differences at h = 1e-6 are
+    # good to about 1e-9 here.
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(0.0, 1.0, size=(n, n))
+    b = rng.normal(size=(n, n))
+    y = 0.5 * ((g + g.T) + 1j * (b + b.T))
+    table = power_tables(y, rng.uniform(0.9, 1.1, size=n))
+    delta = rng.uniform(-2.0, 2.0, size=n)
+    h = 1e-6
+    step = h * np.eye(n)
+    numeric = np.stack(
+        [
+            (electrical_power(delta + step[j], table) - electrical_power(delta - step[j], table))
+            / (2 * h)
+            for j in range(n)
+        ],
+        axis=1,
+    )
+    assert_allclose(_power_jacobian(delta, table), numeric, rtol=0, atol=1e-7)
 
 
 def test_electrical_power_validates_shapes(pair_case):
     reduced = reduce_to_generators(pair_case)
     with pytest.raises(InvalidArgumentError):
-        electrical_power(np.zeros(3), *power_tables(reduced, np.ones(2)))
+        electrical_power(np.zeros(3), power_tables(reduced, np.ones(2)))
     with pytest.raises(InvalidArgumentError):
-        electrical_power(np.zeros(2), *power_tables(reduced, np.ones(3)))
+        electrical_power(np.zeros(2), power_tables(reduced, np.ones(3)))
 
 
 @settings(deadline=None)
@@ -206,17 +232,19 @@ def test_electrical_power_validates_shapes(pair_case):
     st.integers(min_value=1, max_value=5),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
+# A full 256-lane batch on a ten-machine network, where matmul hands every
+# lane to BLAS.
+@example(n=10, lanes=256, seed=10)
 def test_batched_power_rows_equal_lone_calls(n, lanes, seed):
     # The integrator evaluates (B, n) angles over stacked (B, n, n) tables;
     # each lane must equal its own 1-D call bit for bit.
     rng = np.random.default_rng(seed)
-    eg = rng.normal(size=(lanes, n, n))
-    eb = rng.normal(size=(lanes, n, n))
+    table = rng.normal(size=(lanes, n, n)) + 1j * rng.normal(size=(lanes, n, n))
     delta = rng.uniform(-4.0, 4.0, size=(lanes, n))
-    batched = electrical_power(delta, eg, eb)
+    batched = electrical_power(delta, table)
     assert batched.shape == (lanes, n)
     for b in range(lanes):
-        assert np.array_equal(batched[b], electrical_power(delta[b], eg[b], eb[b]))
+        assert np.array_equal(batched[b], electrical_power(delta[b], table[b]))
 
 
 # --- Equilibrium ------------------------------------------------------------
@@ -229,7 +257,7 @@ def test_equilibrium_closed_form_on_pair(pair_case):
     # Machine 2 absorbs p through a 2.5 pu synchronizing coefficient.
     assert_allclose(eq.delta0, [0.0, -math.asin(p / 2.5)], rtol=0, atol=1e-10)
     assert_allclose(eq.pm, [p, -p], rtol=0, atol=1e-10)
-    pe = electrical_power(eq.delta0, *power_tables(reduced, pair_case.emf))
+    pe = electrical_power(eq.delta0, power_tables(reduced, pair_case.emf))
     assert_allclose(pe, eq.pm, rtol=0, atol=1e-8)
 
 
@@ -238,7 +266,7 @@ def test_equilibrium_balances_all_machines(lossy_case):
     pm = np.array([0.6, 0.5])
     eq = solve_equilibrium(lossy_case, reduced, pm)
     assert eq.delta0[0] == 0.0
-    pe = electrical_power(eq.delta0, *power_tables(reduced, lossy_case.emf))
+    pe = electrical_power(eq.delta0, power_tables(reduced, lossy_case.emf))
     assert np.max(np.abs(pe - eq.pm)) < 1e-8
     # Non-slack dispatch passes through untouched; the slack absorbs losses.
     assert eq.pm[1] == pm[1]
@@ -293,6 +321,12 @@ def test_equilibrium_rejects_a_reduced_network_of_another_size(pair_case, bundle
         dict(generators=(Generator(bus=1, m=0.05, d=-0.1, xd=0.1, emf=1.0),)),
         dict(loads=(Load(bus=42, p=1.0, q=0.0),)),
         dict(base_frequency_hz=0.0),
+        # NaN fails every comparison, so each check must be written to fail on it.
+        dict(generators=(Generator(bus=1, m=math.nan, d=0.0, xd=0.1, emf=1.0),)),
+        dict(generators=(Generator(bus=1, m=0.05, d=math.nan, xd=0.1, emf=1.0),)),
+        dict(generators=(Generator(bus=1, m=0.05, d=0.0, xd=math.nan, emf=1.0),)),
+        dict(generators=(Generator(bus=1, m=0.05, d=0.0, xd=0.1, emf=math.nan),)),
+        dict(base_frequency_hz=math.nan),
     ],
 )
 def test_case_validation_rejects(mutation):
@@ -355,6 +389,12 @@ def test_parse_case_reads_every_section():
         ("format: 1\nbase_frequency_hz: 60\n[buses]\n1 0.0\n", "fields"),
         ("format: 1\nbase_frequency_hz: 60\n[buses]\n1 0.0 zap\n", "numeric"),
         ("no header here\n", "key"),
+        ("format: 1\nbase_frequency_hz: 60\n[buses]\ninf 0.0 0.0\n", "finite"),
+        ("format: 1\nbase_frequency_hz: 60\n[buses]\nnan 0.0 0.0\n", "finite"),
+        ("format: 1\nbase_frequency_hz: 60\n[buses]\n1.5 0.0 0.0\n", "integer"),
+        ("format: 1\nbase_frequency_hz: 60\n[branches]\n1 2.5 0.0 -5.0\n", "integer"),
+        ("format: 1\nbase_frequency_hz: 60\n[generators]\n1 nan 0.0 0.1 1.0\n", "finite"),
+        ("format: 1\nbase_frequency_hz: 60\n[loads]\n2 1e400 0.0\n", "finite"),
     ],
 )
 def test_parse_case_rejects_malformed_text(text, fragment):

@@ -51,6 +51,10 @@ def make_trajectory(delta, t0_index=2, tcl_index=7, freq=60.0):
         dict(load_scale=0.0, dispatch_seed=0, fault_bus=7),
         dict(load_scale=1.0, dispatch_seed=0, fault_bus=7, fault_clearing_cycles=0),
         dict(load_scale=1.0, dispatch_seed=0, fault_bus=7, observation_horizon_s=0.0),
+        dict(load_scale=float("nan"), dispatch_seed=0, fault_bus=7),
+        dict(load_scale=float("inf"), dispatch_seed=0, fault_bus=7),
+        dict(load_scale=1.0, dispatch_seed=0, fault_bus=7, observation_horizon_s=float("nan")),
+        dict(load_scale=1.0, dispatch_seed=0, fault_bus=7, observation_horizon_s=float("inf")),
     ],
 )
 def test_scenario_rejects_bad_parameters(kwargs):
