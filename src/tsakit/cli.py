@@ -102,9 +102,8 @@ def _cmd_gen_kb(args) -> int:
 def _cmd_train(args) -> int:
     base = kbmod.load_kb(args.kb)
     scheme = experiments.parse_scheme(args.scheme)
-    split_seed, train_seed = experiments.seed_streams(args.seed)
-    data_split = kbmod.split(base, args.train_size, seed=split_seed)
-    model = experiments.train_model(base, data_split.train_indices, scheme, train_seed)
+    data_split = kbmod.split(base, args.train_size, seed=experiments.split_stream(args.seed))
+    model = experiments.train_model(base, data_split.train_indices, scheme)
     mkprobit.save_model(model, args.out)
     train_m = experiments.evaluate_model(model, base, data_split.train_indices)
     test_m = experiments.evaluate_model(model, base, data_split.test_indices)
@@ -266,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kb", required=True)
     p.add_argument("--scheme", default="F1(Kg)+F2(Kg)+F3(Kg)")
     p.add_argument("--train-size", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="seed of the train/test split")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
 

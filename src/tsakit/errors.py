@@ -25,6 +25,13 @@ class FormatError(InvalidArgumentError):
         self.line = line
 
 
+def json_typed(value, kind: type, what: str, line=None):
+    """A document's `value` if JSON holds it as `kind` (bool is not int), else a FormatError."""
+    if type(value) is not kind:
+        raise FormatError(f"{what} must be a JSON {kind.__name__}, got {value!r}", line=line)
+    return value
+
+
 def read_text(path) -> str:
     """Whole contents of a UTF-8 text file; undecodable bytes are a FormatError."""
     with open(path, "r", encoding="utf-8") as fh:

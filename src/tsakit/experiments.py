@@ -6,9 +6,10 @@ Preset tables cover the single-subset/fusion ladder (table4), the eight
 Gaussian/polynomial combinations over all three subsets (table5), and the
 measurement-noise pair (table6).
 
-Reported accuracies are medians over independent seeds; a seed drives
-both the train/test split and the training run.  Report files carry only
-deterministic columns so a rerun with the same seed is byte-identical.
+Reported accuracies are medians over independent seeds; a seed fixes the
+train/test split, and training is a function of the training rows alone.
+Report files carry only deterministic columns so a rerun with the same
+seed is byte-identical.
 """
 
 from __future__ import annotations
@@ -142,13 +143,9 @@ def metrics(y_true: np.ndarray, y_pred: np.ndarray) -> dict:
     }
 
 
-def seed_streams(seed: int):
-    """The (split, training) child streams of a run seed.
-
-    Separate streams let every scheme run under one seed see the same
-    train/test partition while training draws its own randomness.
-    """
-    return np.random.SeedSequence(int(seed)).spawn(2)
+def split_stream(seed: int) -> np.random.SeedSequence:
+    """The run seed's first child stream; every scheme splits the rows from it."""
+    return np.random.SeedSequence(int(seed)).spawn(1)[0]
 
 
 def labels_to_targets(labels: np.ndarray) -> np.ndarray:
@@ -164,12 +161,14 @@ def train_model(
     kb: KnowledgeBase,
     train_indices: np.ndarray,
     scheme: SchemeSpec,
-    seed,
+    seed=None,
 ) -> TrainedModel:
     """Fit one scheme on the given rows of a knowledge base.
 
     Standardizers and Gaussian widths (median heuristic) are fit on the
-    training rows only, then frozen into the returned model.
+    training rows only, then frozen into the returned model.  Training
+    draws no random numbers; `seed` is accepted and ignored so callers
+    that pass a training seed positionally keep working.
     """
     raw = kb.feature_matrix[np.asarray(train_indices, dtype=int)]
     targets = labels_to_targets(kb.labels[np.asarray(train_indices, dtype=int)])
@@ -191,7 +190,7 @@ def train_model(
         grams.append(base_gram(xs, spec))
         train_features.append(xs)
 
-    state = train(grams, targets, seed=seed)
+    state = train(grams, targets)
     return TrainedModel(
         subset_names=tuple(scheme.subsets),
         standardizers=tuple(standardizers),
@@ -250,7 +249,7 @@ def run_scheme(
 ) -> SchemeResult:
     """Train one scheme on the split's train side, score its test side.
 
-    Training draws from the training stream of the run seed `seed`.
+    `seed` is the run seed the split came from, recorded in the result.
     """
     if scheme.noise_mode != "clean":
         if noisy_kb is None:
@@ -261,8 +260,7 @@ def run_scheme(
     train_kb = noisy_kb if scheme.noise_mode == "train-and-test-noisy" else kb
     test_kb = noisy_kb if scheme.noise_mode != "clean" else kb
 
-    _, train_seed = seed_streams(seed)
-    model = train_model(train_kb, data_split.train_indices, scheme, train_seed)
+    model = train_model(train_kb, data_split.train_indices, scheme)
     result = evaluate_model(model, test_kb, data_split.test_indices)
     confusion = {k: v for k, v in result.items() if k != "accuracy"}
     return SchemeResult(
@@ -298,16 +296,14 @@ def sweep(
 ) -> SweepReport:
     """Run every scheme over every seed; each seed fixes its own split.
 
-    Split and training randomness are separate child streams of the seed,
-    so two schemes under the same seed see identical partitions.
+    Two schemes under the same seed see identical partitions.
     """
     results = []
     medians = {}
     for scheme in schemes:
         accs = []
         for s in seeds:
-            split_seed, _ = seed_streams(s)
-            data_split = make_split(kb, n_train, seed=split_seed)
+            data_split = make_split(kb, n_train, seed=split_stream(s))
             res = run_scheme(kb, data_split, scheme, s, noisy_kb=noisy_kb)
             results.append(res)
             accs.append(res.accuracy)

@@ -24,6 +24,7 @@ from .errors import (
     FormatError,
     IntegrationDivergedError,
     InvalidArgumentError,
+    json_typed,
     read_text,
 )
 from .features import FEATURE_NAMES, extract_features
@@ -291,13 +292,12 @@ def _plan_to_doc(plan: ScenarioPlan) -> dict:
 
 
 def _plan_from_doc(doc: dict) -> ScenarioPlan:
+    counts = ("dispatches_per_level", "fault_clearing_cycles", "master_seed")
     return ScenarioPlan(
-        fault_buses=tuple(doc["fault_buses"]),
+        fault_buses=tuple(json_typed(b, int, "fault bus") for b in doc["fault_buses"]),
         load_levels=tuple(doc["load_levels"]),
-        dispatches_per_level=int(doc["dispatches_per_level"]),
-        fault_clearing_cycles=int(doc["fault_clearing_cycles"]),
         observation_horizon_s=float(doc["observation_horizon_s"]),
-        master_seed=int(doc["master_seed"]),
+        **{k: json_typed(doc[k], int, k) for k in counts},
     )
 
 
@@ -359,10 +359,11 @@ def kb_from_text(text: str) -> KnowledgeBase:
             raise FormatError(f"bad record: {exc}", line=lineno) from None
         try:
             values = np.array(rec["features"], dtype=float)
-            lab = int(rec["label"])
+            lab = rec["label"]
             sid = str(rec["id"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"record is incomplete: {exc}", line=lineno) from None
+        json_typed(lab, int, "label", line=lineno)
         if values.shape != (len(FEATURE_NAMES),):
             raise FormatError(
                 f"record carries {values.size} features, expected {len(FEATURE_NAMES)}",

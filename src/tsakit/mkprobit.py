@@ -11,19 +11,22 @@ regressor is the negation of class 0's, so one Gaussian posterior is kept.
 Inference is mean-field coordinate ascent.  Regressor posteriors are
 Gaussian with covariance (K K' + A)^-1, auxiliary posteriors are
 truncated Gaussians whose means shift by a normal hazard, scale
-posteriors stay Gamma, and the mixture weights are refreshed by
-importance sampling from a Dirichlet proposal weighted by the model fit.
-The variational lower bound below is exact for the partially maximised
-auxiliary factor, so fixed-mixture sweeps can never decrease it.
+posteriors stay Gamma, and the mixture weights take the point estimate
+that maximises the bound given the other factors: a concave quadratic on
+the simplex, solved exactly.  The variational lower bound below is exact
+for the partially maximised auxiliary factor, so no update can decrease
+it, and training draws no random numbers.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotri
 from scipy.special import digamma, gammaln, log_ndtr, ndtr
 
 from .errors import (
@@ -31,6 +34,7 @@ from .errors import (
     FormatError,
     InvalidArgumentError,
     NumericalFailureError,
+    json_typed,
     read_text,
 )
 from .features import FEATURE_NAMES, Standardizer, subset_columns
@@ -41,8 +45,6 @@ JITTER = 1e-8
 JITTER_ESCALATION = (0.0, 1e-6, 1e-4)
 GAMMA_PRIOR_SHAPE = 1e-3
 GAMMA_PRIOR_RATE = 1e-3
-RHO_BASE = 1.0
-BETA_SAMPLES = 500
 MAX_ITERS = 200
 BOUND_REL_TOL = 1e-5
 # Batch prediction takes the query rows in blocks of about this many
@@ -60,17 +62,17 @@ class ProbitMKLState:
     """Mutable training state; every posterior factor lives here."""
 
     grams: tuple                 # S base Gram matrices, each (N, N)
+    products: dict               # (s, t) -> K~s K~t for s <= t, K~s = K_s + JITTER I
     beta: np.ndarray             # (S,) mixture weights on the simplex
     targets: np.ndarray          # (N,) class indices, 0 or 1
     k_eff: np.ndarray            # composite + jitter on the diagonal
-    k_eff_sq: np.ndarray         # k_eff @ k_eff, reused by bound and solves
+    k_eff_sq: np.ndarray         # k_eff @ k_eff, from the products
     w_mean: np.ndarray           # (N,) class 0's; class 1's is its negation
     w_cov: np.ndarray            # (N, N), shared by both classes
     w_logdet: float              # cached log|Sigma|
     scale_shape: np.ndarray      # (N,)
     scale_rate: np.ndarray       # (N,)
     y_mean: np.ndarray           # (N,) class 0's auxiliary means
-    rho: np.ndarray              # (S,) Dirichlet proposal parameters
     converged: bool = False
     lb_trace: list = field(default_factory=list)
     messages: list = field(default_factory=list)
@@ -80,9 +82,11 @@ class ProbitMKLState:
         return int(self.targets.shape[0])
 
     def set_beta(self, beta: np.ndarray) -> None:
-        """Adopt a new mixture and rebuild the effective composite."""
+        """Adopt a new mixture; on the simplex k_eff^2 = sum_st beta_s beta_t K~s K~t."""
         self.k_eff = compose(self.grams, beta) + JITTER * np.eye(self.n_samples)
-        self.k_eff_sq = self.k_eff @ self.k_eff
+        self.k_eff_sq = sum(
+            beta[s] * beta[t] * (p if s == t else p + p.T) for (s, t), p in self.products.items()
+        )
         self.beta = np.asarray(beta, dtype=float)
 
 
@@ -92,7 +96,8 @@ def init_state(grams, targets) -> ProbitMKLState:
     Targets are class indices 0 or 1, both present.  Regressor means
     start at zero with unit covariance, scales at their Gamma prior,
     auxiliary means at +1 for the sample's own class and -1 for the other,
-    and the mixture uniform over the kernel spaces.
+    and the mixture uniform over the kernel spaces.  The Gram products are
+    formed here, once per fit.
     """
     targets = np.asarray(targets, dtype=int)
     if targets.ndim != 1 or targets.size == 0:
@@ -107,8 +112,12 @@ def init_state(grams, targets) -> ProbitMKLState:
         if np.asarray(g).shape != (n, n):
             raise InvalidArgumentError("each Gram matrix must be N x N for N samples")
 
+    grams = tuple(np.asarray(g, dtype=float) for g in grams)
+    jittered = [g + JITTER * np.eye(n) for g in grams]
+    pairs = itertools.combinations_with_replacement(range(s), 2)
     state = ProbitMKLState(
-        grams=tuple(np.asarray(g, dtype=float) for g in grams),
+        grams=grams,
+        products={(i, j): jittered[i] @ jittered[j] for i, j in pairs},
         beta=np.full(s, 1.0 / s),
         targets=targets,
         k_eff=np.empty((n, n)),
@@ -119,22 +128,22 @@ def init_state(grams, targets) -> ProbitMKLState:
         scale_shape=np.full(n, GAMMA_PRIOR_SHAPE),
         scale_rate=np.full(n, GAMMA_PRIOR_RATE),
         y_mean=1.0 - 2.0 * targets,
-        rho=np.full(s, RHO_BASE),
     )
     state.set_beta(state.beta)
     return state
 
 
 def _solve_spd(precision: np.ndarray):
-    """Cholesky inverse with escalating diagonal regularisation."""
+    """Cholesky inverse, from the factor, with escalating diagonal regularisation."""
     n = precision.shape[0]
     for extra in JITTER_ESCALATION:
-        try:
-            chol = np.linalg.cholesky(precision + extra * np.eye(n))
-        except np.linalg.LinAlgError:
+        chol, info = dpotrf(precision + extra * np.eye(n), lower=1)
+        if info == 0:
+            inverse, info = dpotri(chol, lower=1)
+        if info != 0:
             continue
-        identity = np.eye(n)
-        cov = np.linalg.solve(chol.T, np.linalg.solve(chol, identity))
+        cov = np.tril(inverse)
+        cov += np.tril(cov, -1).T
         logdet_cov = -2.0 * float(np.sum(np.log(np.diag(chol))))
         return cov, logdet_cov, extra
     raise NumericalFailureError(
@@ -184,36 +193,46 @@ def update_auxiliaries(state: ProbitMKLState) -> None:
     state.y_mean = y
 
 
-def resample_beta(state: ProbitMKLState, seed=None) -> np.ndarray:
-    """Importance-sample the kernel mixture around the current posterior.
+def resample_beta(state: ProbitMKLState) -> np.ndarray:
+    """Move the mixture to the maximiser of the bound given the other factors.
 
-    BETA_SAMPLES candidates come from Dirichlet(rho); each is weighted by
-    the fit exp(-||Y - W K^beta||_F^2 / 2) = exp(-||y - w K^beta||^2), as both
-    classes' residuals are equal, and the normalised weighted average becomes
-    the new mixture.  The proposal is then re-centred as rho = 1 + S * beta.
+    The bound's beta terms are g = -||y - w K^beta||^2 - tr(Sigma (K^beta)^2)
+    = const + 2 b'beta - beta'Q beta with a_s = w K~s, b = a y and Q_st =
+    a_s.a_t + tr(Sigma K~s K~t).  The best non-negative KKT solution over the
+    supports is adopted only if it scores strictly higher, so a tie keeps
+    the current mixture.  A single space is returned unchanged.
     """
     s = len(state.grams)
     if s == 1:
         return state.beta
-    rng = np.random.default_rng(seed)
-    candidates = rng.dirichlet(state.rho, size=BETA_SAMPLES)   # (n, S)
-    per_space = np.stack([state.w_mean @ g for g in state.grams])   # (S, N)
-    fitted = candidates @ per_space                                 # (n, N)
-    resid = state.y_mean[None, :] - fitted
-    log_w = -np.sum(resid**2, axis=1)
-    log_w -= log_w.max()
-    weights = np.exp(log_w)
-    total = float(weights.sum())
-    if not np.isfinite(total) or total <= 0.0:
-        state.messages.append("mixture resampling weights degenerate; keeping beta")
-        return state.beta
-    weights /= total
-    beta = weights @ candidates
-    beta = np.maximum(beta, 0.0)
-    beta /= beta.sum()
-    state.rho = RHO_BASE + s * beta
-    state.set_beta(beta)
-    return beta
+    a = np.stack([state.w_mean @ g for g in state.grams]) + JITTER * state.w_mean
+    q = a @ a.T
+    for (i, j), p in state.products.items():
+        # tr(Sigma P) = sum(Sigma * P') = sum(Sigma * P), Sigma being symmetric.
+        q[i, j] = q[j, i] = q[i, j] + np.sum(state.w_cov * p)
+    b = a @ state.y_mean
+
+    def score(beta):
+        return 2.0 * b @ beta - beta @ q @ beta
+
+    best = state.beta
+    for bits in range(1, 2**s):
+        idx = [i for i in range(s) if bits >> i & 1]
+        kkt = np.pad(q[np.ix_(idx, idx)], (0, 1), constant_values=1.0)
+        kkt[-1, -1] = 0.0
+        try:
+            x = np.linalg.solve(kkt, np.append(b[idx], 1.0))[:-1]
+        except np.linalg.LinAlgError:
+            continue
+        if not (np.all(x >= 0.0) and x.sum() > 0.0):
+            continue
+        candidate = np.zeros(s)
+        candidate[idx] = x / x.sum()
+        if score(candidate) > score(best):
+            best = candidate
+    if best is not state.beta:
+        state.set_beta(best)
+    return state.beta
 
 
 def lower_bound(state: ProbitMKLState) -> float:
@@ -249,36 +268,20 @@ def lower_bound(state: ProbitMKLState) -> float:
     return bound
 
 
-def train(
-    grams,
-    targets,
-    seed: int = 0,
-    max_iters: int = MAX_ITERS,
-) -> ProbitMKLState:
+def train(grams, targets, max_iters: int = MAX_ITERS) -> ProbitMKLState:
     """Run coordinate ascent to convergence of the lower bound.
 
     Stops once the relative bound change stays below BOUND_REL_TOL for two
-    consecutive iterations, or after `max_iters`.  All randomness (the
-    mixture proposals) derives from `seed`.
+    consecutive iterations, or after `max_iters`.  The fit is a function
+    of the Gram matrices and targets alone.
     """
     state = init_state(grams, targets)
-    if isinstance(seed, np.random.SeedSequence):
-        # Spawn from a copy so the caller's sequence is not advanced.
-        seed_seq = np.random.SeedSequence(
-            seed.entropy,
-            spawn_key=seed.spawn_key,
-            pool_size=seed.pool_size,
-            n_children_spawned=seed.n_children_spawned,
-        )
-    else:
-        seed_seq = np.random.SeedSequence(seed)
-    children = seed_seq.spawn(max_iters)
     previous = None
     streak = 0
-    for it in range(max_iters):
+    for _ in range(max_iters):
         update_regressors_and_scales(state)
         update_auxiliaries(state)
-        resample_beta(state, seed=children[it])
+        resample_beta(state)
         bound = lower_bound(state)
         state.lb_trace.append(bound)
         if previous is not None:
@@ -398,24 +401,17 @@ def _standardizer_from_doc(doc: dict) -> Standardizer:
     return Standardizer(
         mean=np.array(doc["mean"], dtype=float),
         std=np.array(doc["std"], dtype=float),
-        zero_variance=np.array(doc["zero_variance"], dtype=bool),
+        zero_variance=np.array(
+            [json_typed(z, bool, "zero_variance") for z in doc["zero_variance"]], dtype=bool
+        ),
     )
-
-
-def _spec_to_doc(spec: KernelSpec) -> dict:
-    return {
-        "kind": spec.kind,
-        "sigma": spec.sigma,
-        "degree": spec.degree,
-        "offset": spec.offset,
-    }
 
 
 def _spec_from_doc(doc: dict) -> KernelSpec:
     return KernelSpec(
         kind=doc["kind"],
         sigma=doc["sigma"],
-        degree=int(doc["degree"]),
+        degree=json_typed(doc["degree"], int, "degree"),
         offset=float(doc["offset"]),
     )
 
@@ -425,7 +421,7 @@ def model_to_document(model: TrainedModel) -> str:
         "model_format": MODEL_FORMAT,
         "subset_names": list(model.subset_names),
         "standardizers": [_standardizer_to_doc(s) for s in model.standardizers],
-        "kernel_specs": [_spec_to_doc(s) for s in model.kernel_specs],
+        "kernel_specs": [asdict(s) for s in model.kernel_specs],
         "beta": model.beta.tolist(),
         "w_mean": model.w_mean.tolist(),
         "w_cov_diag": model.w_cov_diag.tolist(),
@@ -457,8 +453,8 @@ def model_from_document(text: str) -> TrainedModel:
             w_mean=np.array(doc["w_mean"], dtype=float),
             w_cov_diag=np.array(doc["w_cov_diag"], dtype=float),
             train_features=tuple(np.array(x, dtype=float) for x in doc["train_features"]),
-            class_labels=tuple(int(c) for c in doc["class_labels"]),
-            converged=bool(doc["converged"]),
+            class_labels=tuple(json_typed(c, int, "class label") for c in doc["class_labels"]),
+            converged=json_typed(doc["converged"], bool, "converged"),
             lb_trace=tuple(float(v) for v in doc["lb_trace"]),
         )
         _check_agreement(model)

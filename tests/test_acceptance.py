@@ -103,12 +103,11 @@ def test_kernel_suite(toy_grams, toy_dataset):
 
     _, targets = toy_dataset
     state = init_state(toy_grams, targets)
-    seeds = np.random.SeedSequence(101).spawn(40)
     worst_simplex = 0.0
-    for it in range(40):
+    for _ in range(40):
         update_regressors_and_scales(state)
         update_auxiliaries(state)
-        resample_beta(state, seed=seeds[it])
+        resample_beta(state)
         validate_simplex(state.beta)
         worst_simplex = max(worst_simplex, abs(float(state.beta.sum()) - 1.0))
 
@@ -165,7 +164,7 @@ def test_probit_suite(toy_grams, toy_dataset):
     worst_margin = float(np.min((1 - 2 * targets) * y))
 
     _, kb_targets = toy_dataset
-    state = train(toy_grams, kb_targets, seed=5, max_iters=30)
+    state = train(toy_grams, kb_targets, max_iters=30)
     trained_margin = float(np.min((1 - 2 * kb_targets) * state.y_mean))
 
     elapsed = time.perf_counter() - started
@@ -204,7 +203,7 @@ def test_lower_bound_suite(toy_grams, toy_dataset):
             worst_drop = max(worst_drop, previous - bound)
         previous = bound
 
-    full = train(toy_grams, targets, seed=0)
+    full = train(toy_grams, targets)
     elapsed = time.perf_counter() - started
     ok = (
         worst_drop < 1e-8
@@ -323,11 +322,11 @@ def _blobs(n_per, seed):
     return x[order], t[order]
 
 
-def _fit_blob_model(x, targets, seed=0):
+def _fit_blob_model(x, targets):
     std = Standardizer.fit(x)
     xs = std.transform(x)
     spec = KernelSpec(kind=GAUSSIAN, sigma=median_width(xs))
-    state = train([base_gram(xs, spec)], targets, seed=seed)
+    state = train([base_gram(xs, spec)], targets)
     return TrainedModel(
         subset_names=("union",),
         standardizers=(std,),
@@ -393,17 +392,18 @@ def test_fusion_trend(acceptance_kb, table4_report):
 
 
 # Held-out samples classified right (of 226) and iterations for each table4
-# fit at N = 226 over seeds 0-4, recorded before the probit link took its
-# closed form; all 40 fits converged.
+# fit at N = 226 over seeds 0-4; all 40 fits converged.  The single-kernel
+# schemes 1-4 were recorded before the probit link took its closed form,
+# the fusions 5-8 when the exact mixture update replaced the sampler.
 TABLE4_CELLS = {
     "1": [(220, 98), (218, 97), (220, 88), (215, 98), (218, 104)],
     "2": [(222, 94), (217, 99), (219, 84), (211, 108), (220, 108)],
     "3": [(221, 92), (220, 95), (222, 94), (220, 98), (220, 94)],
     "4": [(221, 99), (218, 92), (222, 86), (217, 95), (220, 95)],
-    "5": [(222, 93), (219, 103), (222, 83), (215, 103), (220, 90)],
-    "6": [(221, 77), (220, 100), (223, 79), (220, 90), (220, 83)],
-    "7": [(221, 91), (220, 86), (222, 90), (218, 85), (220, 91)],
-    "8": [(221, 64), (220, 104), (221, 82), (219, 88), (220, 84)],
+    "5": [(222, 98), (219, 99), (221, 88), (213, 107), (219, 94)],
+    "6": [(221, 92), (220, 94), (222, 90), (220, 97), (220, 89)],
+    "7": [(221, 89), (220, 94), (222, 91), (220, 93), (220, 90)],
+    "8": [(221, 89), (220, 91), (222, 85), (220, 84), (220, 84)],
 }
 
 

@@ -47,7 +47,7 @@ def test_simulate_takes_substeps_fourth():
 
 def test_train_state_carries_the_fit_counters(toy_grams, toy_dataset):
     _, targets = toy_dataset
-    state = train(toy_grams, targets, seed=0, max_iters=3)
+    state = train(toy_grams, targets, max_iters=3)
     assert 1 <= len(state.lb_trace) <= 3
     assert isinstance(state.messages, list)
 
@@ -81,6 +81,21 @@ def test_prediction_api_keeps_what_the_stages_read(small_kb):
     pred = mkprobit.predictive_distribution(model, rows[0])
     assert pred.probabilities.shape == (2,)
     assert pred.label in model.class_labels
+
+
+def test_train_model_takes_and_ignores_a_fourth_positional_seed(small_kb):
+    # The predict stage passes a training seed as the fourth positional
+    # argument; training draws nothing from it, so any seed fits the same.
+    assert list(inspect.signature(experiments.train_model).parameters)[3] == "seed"
+    part = kb.split(small_kb, 12, seed=experiments.split_stream(0))
+    scheme = experiments.parse_scheme("F1(Kg)+F2(Kg)+F3(Kp)")
+    documents = {
+        mkprobit.model_to_document(
+            experiments.train_model(small_kb, part.train_indices, scheme, seed)
+        )
+        for seed in (np.random.SeedSequence(7), np.random.SeedSequence(8), 3)
+    }
+    assert len(documents) == 1
 
 
 def test_scenario_takes_a_dispatch_seed():

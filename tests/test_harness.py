@@ -21,7 +21,7 @@ from tsakit.experiments import (
     parse_scheme,
     report_to_csv,
     run_scheme,
-    seed_streams,
+    split_stream,
     svg_line_chart,
     sweep,
     table4_schemes,
@@ -31,7 +31,7 @@ from tsakit.experiments import (
 )
 from tsakit.kb import kb_to_text, save_kb, split
 from tsakit.kernels import GAUSSIAN, POLYNOMIAL
-from tsakit.mkprobit import load_model, model_to_document, predictive_distribution
+from tsakit.mkprobit import load_model, predictive_distribution
 from tsakit.network import bundled_case_path
 
 
@@ -200,16 +200,6 @@ def test_run_scheme_reports_the_cell(small_kb, small_split):
     assert np.isfinite(res.final_bound)
 
 
-def test_training_leaves_the_callers_seed_sequence_alone(small_kb, small_split):
-    # Two fits from one SeedSequence object must be the same fit.
-    scheme = parse_scheme("F1(Kg)+F2(Kg)+F3(Kp)")
-    seed = np.random.SeedSequence(7)
-    first = train_model(small_kb, small_split.train_indices, scheme, seed)
-    second = train_model(small_kb, small_split.train_indices, scheme, seed)
-    assert seed.n_children_spawned == 0
-    assert model_to_document(first) == model_to_document(second)
-
-
 def test_noisy_modes_pick_the_right_sides(small_kb, small_split, noisy_small_kb):
     spec17, spec18 = table6_schemes()
     with pytest.raises(InvalidArgumentError, match="companion"):
@@ -266,8 +256,7 @@ def test_sweep_collects_medians(small_kb):
     assert a0.n_test == b0.n_test
 
     # a cell is run_scheme under its seed, on the seed's split stream
-    split_seed, _ = seed_streams(0)
-    assert run_scheme(small_kb, split(small_kb, 12, seed=split_seed), schemes[0], 0) == a0
+    assert run_scheme(small_kb, split(small_kb, 12, seed=split_stream(0)), schemes[0], 0) == a0
 
 
 def test_report_csv_is_deterministic(small_kb):
@@ -480,12 +469,22 @@ def test_cli_refuses_kb_with_non_finite_feature(command, kb_file, model_file, tm
         ("case", b"\n1      0.0    0.0", b"\nnan    0.0    0.0"),
         ("case", b"\n1      0.0    0.0", b"\n1.5    0.0    0.0"),
         ("case", b"0.048", b"nan"),
+        ("kb", b'"label":1}', b'"label":1.5}'),
+        ("kb", b'"label":1}', b'"label":true}'),
+        ("kb", b'"dispatches_per_level":3', b'"dispatches_per_level":3.9'),
+        ("kb", b'"fault_clearing_cycles":5', b'"fault_clearing_cycles":5.7'),
+        ("kb", b'"master_seed":0', b'"master_seed":0.5'),
+        ("model", b'"degree":2', b'"degree":2.7'),
+        ("model", b'"class_labels":[1,-1]', b'"class_labels":[1.4,-1.2]'),
+        ("model", b'"converged":true', b'"converged":"no"'),
     ],
     ids=[
         "kb-plan-field", "kb-noise-field", "kb-discarded-field", "kb-not-utf8",
         "model-degree", "model-beta", "model-not-utf8", "rows-not-utf8", "case-not-utf8",
         "traj-field", "traj-not-utf8", "kb-plan-overflow", "case-bus-inf", "case-bus-nan",
-        "case-bus-fraction", "case-inertia-nan",
+        "case-bus-fraction", "case-inertia-nan", "kb-label-fraction", "kb-label-bool",
+        "kb-dispatches-fraction", "kb-clearing-fraction", "kb-seed-fraction",
+        "model-degree-fraction", "model-labels-fraction", "model-converged-string",
     ],
 )
 def test_cli_malformed_input_exits_one(

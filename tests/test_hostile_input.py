@@ -1,8 +1,8 @@
 """Mutated documents never escape the readers as anything but bad input.
 
 Each reader gets a valid document with a few lines deleted, duplicated or
-garbled, and numbers swapped for non-finite, overflowing or signed-zero
-spellings.  The outcome must be a value or an InvalidArgumentError (which
+garbled, and numbers swapped for non-finite, overflowing, signed-zero,
+fractional or boolean spellings.  The outcome must be a value or an InvalidArgumentError (which
 FormatError extends), the errors the CLI turns into exit code 1.
 """
 
@@ -16,14 +16,16 @@ from hypothesis import strategies as st
 
 from tsakit import cli
 from tsakit.errors import InvalidArgumentError
-from tsakit.experiments import parse_scheme, seed_streams, train_model
+from tsakit.experiments import parse_scheme, split_stream, train_model
 from tsakit.kb import kb_from_text, split
 from tsakit.mkprobit import model_from_document, model_to_document
 from tsakit.network import bundled_case_path, parse_case
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
-HOSTILE_NUMBERS = ("nan", "inf", "-inf", "1e400", "-0", "NaN", "Infinity", "-Infinity")
+HOSTILE_NUMBERS = (
+    "nan", "inf", "-inf", "1e400", "-0", "NaN", "Infinity", "-Infinity", "1.5", "true"
+)
 NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 
@@ -78,9 +80,8 @@ def _read_trajectory(text, scratch):
 def documents(tmp_path_factory):
     kb_text = (DATA_DIR / "small_kb_reference.txt").read_text(encoding="utf-8")
     kb = kb_from_text(kb_text)
-    split_seed, train_seed = seed_streams(0)
-    part = split(kb, 8, seed=split_seed)
-    model = train_model(kb, part.train_indices, parse_scheme("F1(Kg)+F2(Kp)"), train_seed)
+    part = split(kb, 8, seed=split_stream(0))
+    model = train_model(kb, part.train_indices, parse_scheme("F1(Kg)+F2(Kp)"))
     trajectory = (DATA_DIR / "trajectory_reference.csv").read_text(encoding="utf-8")
     return tmp_path_factory.mktemp("fuzz"), {
         "case": pathlib.Path(bundled_case_path()).read_text(encoding="utf-8"),
