@@ -6,6 +6,8 @@ subclasses, CLI exit code 1) and numerical breakdown
 are read through ``read_text`` so that undecodable bytes are bad input too.
 """
 
+import numpy as np
+
 
 class TsaKitError(Exception):
     """Base class for everything raised deliberately by this package."""
@@ -30,6 +32,23 @@ def json_typed(value, kind: type, what: str, line=None):
     if type(value) is not kind:
         raise FormatError(f"{what} must be a JSON {kind.__name__}, got {value!r}", line=line)
     return value
+
+
+_JSON_NUMBERS = frozenset((int, float))  # bool is a subclass of int, not a member
+
+
+def json_real(value, what: str, ndim: int = 0, line=None):
+    """A document's JSON number as a float, or its `ndim`-deep nested lists of
+    numbers as a float array; a boolean or any other value is a FormatError."""
+    if type(value) is list:
+        if ndim == 1 and _JSON_NUMBERS.issuperset(map(type, value)):
+            return np.array(value, dtype=float)
+        if ndim > 1:
+            return np.array([json_real(v, what, ndim - 1, line) for v in value])
+    elif ndim == 0 and type(value) in _JSON_NUMBERS:
+        return float(value)
+    shape = "a " + "list of " * ndim + "JSON numbers" if ndim else "a JSON number"
+    raise FormatError(f"{what} must be {shape}", line=line)
 
 
 def read_text(path) -> str:

@@ -24,6 +24,7 @@ from .errors import (
     FormatError,
     IntegrationDivergedError,
     InvalidArgumentError,
+    json_real,
     json_typed,
     read_text,
 )
@@ -147,7 +148,7 @@ def inject_noise(trajectory: Trajectory, max_rel_error: float, seed) -> Trajecto
     per value.  Mechanical input and inertia are model constants, not
     measurements, and stay untouched.
     """
-    if max_rel_error < 0 or max_rel_error > NOISE_MAX:
+    if not 0 <= max_rel_error <= NOISE_MAX:
         raise InvalidArgumentError(
             f"max_rel_error must lie in [0, {NOISE_MAX}], got {max_rel_error}"
         )
@@ -206,7 +207,7 @@ def generate_kb(
     at a time.  Labels always come from the clean trajectory; noise, when
     requested, only affects the features.
     """
-    if noise_max_rel_error < 0 or noise_max_rel_error > NOISE_MAX:
+    if not 0 <= noise_max_rel_error <= NOISE_MAX:
         raise InvalidArgumentError(f"noise level must lie in [0, {NOISE_MAX}]")
     for bus in plan.fault_buses:
         case.bus_index(bus)  # raises on unknown bus
@@ -295,8 +296,8 @@ def _plan_from_doc(doc: dict) -> ScenarioPlan:
     counts = ("dispatches_per_level", "fault_clearing_cycles", "master_seed")
     return ScenarioPlan(
         fault_buses=tuple(json_typed(b, int, "fault bus") for b in doc["fault_buses"]),
-        load_levels=tuple(doc["load_levels"]),
-        observation_horizon_s=float(doc["observation_horizon_s"]),
+        load_levels=tuple(json_real(doc["load_levels"], "load_levels", 1).tolist()),
+        observation_horizon_s=json_real(doc["observation_horizon_s"], "observation_horizon_s"),
         **{k: json_typed(doc[k], int, k) for k in counts},
     )
 
@@ -338,8 +339,10 @@ def kb_from_text(text: str) -> KnowledgeBase:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"header plan is incomplete or invalid: {exc}", line=1) from None
     try:
-        noise_max_rel_error = float(header.get("noise_max_rel_error", 0.0))
-    except (TypeError, ValueError, OverflowError) as exc:
+        noise_max_rel_error = json_real(
+            header.get("noise_max_rel_error", 0.0), "noise_max_rel_error", line=1
+        )
+    except OverflowError as exc:
         raise FormatError(f"bad header field: {exc}", line=1) from None
     if not 0.0 <= noise_max_rel_error <= NOISE_MAX:
         raise FormatError(f"noise_max_rel_error must lie in [0, {NOISE_MAX}]", line=1)
@@ -358,7 +361,7 @@ def kb_from_text(text: str) -> KnowledgeBase:
         except json.JSONDecodeError as exc:
             raise FormatError(f"bad record: {exc}", line=lineno) from None
         try:
-            values = np.array(rec["features"], dtype=float)
+            values = json_real(rec["features"], "features", 1, lineno)
             lab = rec["label"]
             sid = str(rec["id"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -16,11 +16,14 @@ that maximises the bound given the other factors: a concave quadratic on
 the simplex, solved exactly.  The variational lower bound below is exact
 for the partially maximised auxiliary factor, so no update can decrease
 it, and training draws no random numbers.
+
+Training keeps the jittered Grams K~s = K_s + JITTER I as one (S, N, N)
+array and their products K~s K~t as one (S, S, N, N) array, formed once
+per fit, so adopting a mixture and updating it are one contraction each.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -34,6 +37,7 @@ from .errors import (
     FormatError,
     InvalidArgumentError,
     NumericalFailureError,
+    json_real,
     json_typed,
     read_text,
 )
@@ -45,6 +49,8 @@ JITTER = 1e-8
 JITTER_ESCALATION = (0.0, 1e-6, 1e-4)
 GAMMA_PRIOR_SHAPE = 1e-3
 GAMMA_PRIOR_RATE = 1e-3
+# Each precision governs one weight, so its Gamma posterior has this shape.
+SCALE_SHAPE = GAMMA_PRIOR_SHAPE + 0.5
 MAX_ITERS = 200
 BOUND_REL_TOL = 1e-5
 # Batch prediction takes the query rows in blocks of about this many
@@ -61,17 +67,16 @@ _LOG_2PI = math.log(2.0 * math.pi)
 class ProbitMKLState:
     """Mutable training state; every posterior factor lives here."""
 
-    grams: tuple                 # S base Gram matrices, each (N, N)
-    products: dict               # (s, t) -> K~s K~t for s <= t, K~s = K_s + JITTER I
+    grams: np.ndarray            # (S, N, N) jittered Grams K~s = K_s + JITTER I
+    products: np.ndarray         # (S, S, N, N), [s, t] = K~s K~t
     beta: np.ndarray             # (S,) mixture weights on the simplex
     targets: np.ndarray          # (N,) class indices, 0 or 1
-    k_eff: np.ndarray            # composite + jitter on the diagonal
+    k_eff: np.ndarray            # sum_s beta_s K~s
     k_eff_sq: np.ndarray         # k_eff @ k_eff, from the products
     w_mean: np.ndarray           # (N,) class 0's; class 1's is its negation
     w_cov: np.ndarray            # (N, N), shared by both classes
     w_logdet: float              # cached log|Sigma|
-    scale_shape: np.ndarray      # (N,)
-    scale_rate: np.ndarray       # (N,)
+    scale_rate: np.ndarray       # (N,), each precision's Gamma shape being SCALE_SHAPE
     y_mean: np.ndarray           # (N,) class 0's auxiliary means
     converged: bool = False
     lb_trace: list = field(default_factory=list)
@@ -82,22 +87,22 @@ class ProbitMKLState:
         return int(self.targets.shape[0])
 
     def set_beta(self, beta: np.ndarray) -> None:
-        """Adopt a new mixture; on the simplex k_eff^2 = sum_st beta_s beta_t K~s K~t."""
-        self.k_eff = compose(self.grams, beta) + JITTER * np.eye(self.n_samples)
-        self.k_eff_sq = sum(
-            beta[s] * beta[t] * (p if s == t else p + p.T) for (s, t), p in self.products.items()
-        )
-        self.beta = np.asarray(beta, dtype=float)
+        """Adopt a new mixture; k_eff^2 = sum_st beta_s beta_t K~s K~t."""
+        beta = validate_simplex(beta)
+        self.k_eff = np.tensordot(beta, self.grams, 1)
+        self.k_eff_sq = np.tensordot(np.outer(beta, beta), self.products, 2)
+        self.beta = beta
 
 
 def init_state(grams, targets) -> ProbitMKLState:
     """Set up posteriors at their documented starting point.
 
     Targets are class indices 0 or 1, both present.  Regressor means
-    start at zero with unit covariance, scales at their Gamma prior,
-    auxiliary means at +1 for the sample's own class and -1 for the other,
-    and the mixture uniform over the kernel spaces.  The Gram products are
-    formed here, once per fit.
+    start at zero with unit covariance, scale precisions at their Gamma
+    prior mean, auxiliary means at +1 for the sample's own class and -1
+    for the other, and the mixture uniform over the kernel spaces.  The
+    jittered Grams and their pairwise products are formed here, once per
+    fit; this is the only place JITTER enters.
     """
     targets = np.asarray(targets, dtype=int)
     if targets.ndim != 1 or targets.size == 0:
@@ -112,12 +117,11 @@ def init_state(grams, targets) -> ProbitMKLState:
         if np.asarray(g).shape != (n, n):
             raise InvalidArgumentError("each Gram matrix must be N x N for N samples")
 
-    grams = tuple(np.asarray(g, dtype=float) for g in grams)
-    jittered = [g + JITTER * np.eye(n) for g in grams]
-    pairs = itertools.combinations_with_replacement(range(s), 2)
+    grams = np.array(grams, dtype=float)
+    grams.reshape(s, n * n)[:, :: n + 1] += JITTER
     state = ProbitMKLState(
         grams=grams,
-        products={(i, j): jittered[i] @ jittered[j] for i, j in pairs},
+        products=grams[:, None] @ grams[None, :],
         beta=np.full(s, 1.0 / s),
         targets=targets,
         k_eff=np.empty((n, n)),
@@ -125,8 +129,8 @@ def init_state(grams, targets) -> ProbitMKLState:
         w_mean=np.zeros(n),
         w_cov=np.eye(n),
         w_logdet=0.0,
-        scale_shape=np.full(n, GAMMA_PRIOR_SHAPE),
-        scale_rate=np.full(n, GAMMA_PRIOR_RATE),
+        # SCALE_SHAPE / rate is the prior mean GAMMA_PRIOR_SHAPE / GAMMA_PRIOR_RATE.
+        scale_rate=np.full(n, SCALE_SHAPE / (GAMMA_PRIOR_SHAPE / GAMMA_PRIOR_RATE)),
         y_mean=1.0 - 2.0 * targets,
     )
     state.set_beta(state.beta)
@@ -153,13 +157,12 @@ def _solve_spd(precision: np.ndarray):
 
 def update_regressors_and_scales(state: ProbitMKLState) -> None:
     """Refresh the Gaussian regressor posterior, then its ARD scales."""
-    precision = state.k_eff_sq + np.diag(state.scale_shape / state.scale_rate)
+    precision = state.k_eff_sq + np.diag(SCALE_SHAPE / state.scale_rate)
     state.w_cov, state.w_logdet, extra = _solve_spd(precision)
     if extra > 0.0:
         state.messages.append(f"regressor solve needed extra jitter {extra:g}")
     state.w_mean = state.w_cov @ (state.k_eff @ state.y_mean)
     w_sq = state.w_mean**2 + np.diag(state.w_cov)
-    state.scale_shape = np.full_like(state.scale_shape, GAMMA_PRIOR_SHAPE + 0.5)
     state.scale_rate = GAMMA_PRIOR_RATE + 0.5 * w_sq
 
 
@@ -193,24 +196,33 @@ def update_auxiliaries(state: ProbitMKLState) -> None:
     state.y_mean = y
 
 
+def _mixture_terms(state: ProbitMKLState):
+    """b and Q of the bound's beta terms g = const + 2 b'beta - beta'Q beta."""
+    a = state.w_mean @ state.grams
+    # tr(Sigma P) = sum(Sigma * P'), = sum(Sigma * P) as Sigma is symmetric.
+    q = a @ a.T + np.tensordot(state.products, state.w_cov, 2)
+    return a @ state.y_mean, q
+
+
 def resample_beta(state: ProbitMKLState) -> np.ndarray:
     """Move the mixture to the maximiser of the bound given the other factors.
 
     The bound's beta terms are g = -||y - w K^beta||^2 - tr(Sigma (K^beta)^2)
     = const + 2 b'beta - beta'Q beta with a_s = w K~s, b = a y and Q_st =
-    a_s.a_t + tr(Sigma K~s K~t).  The best non-negative KKT solution over the
-    supports is adopted only if it scores strictly higher, so a tie keeps
-    the current mixture.  A single space is returned unchanged.
+    a_s.a_t + tr(Sigma K~s K~t).  Each support solves its slice of the
+    bordered KKT system [[Q, 1], [1', 0]] [beta; nu] = [b; 1].  The best
+    non-negative solution over the supports is adopted only if it scores
+    strictly higher, so a tie keeps the current mixture.  A single space is
+    returned unchanged.
     """
     s = len(state.grams)
     if s == 1:
         return state.beta
-    a = np.stack([state.w_mean @ g for g in state.grams]) + JITTER * state.w_mean
-    q = a @ a.T
-    for (i, j), p in state.products.items():
-        # tr(Sigma P) = sum(Sigma * P') = sum(Sigma * P), Sigma being symmetric.
-        q[i, j] = q[j, i] = q[i, j] + np.sum(state.w_cov * p)
-    b = a @ state.y_mean
+    b, q = _mixture_terms(state)
+    kkt = np.ones((s + 1, s + 1))
+    kkt[:s, :s] = q
+    kkt[s, s] = 0.0
+    rhs = np.append(b, 1.0)
 
     def score(beta):
         return 2.0 * b @ beta - beta @ q @ beta
@@ -218,10 +230,9 @@ def resample_beta(state: ProbitMKLState) -> np.ndarray:
     best = state.beta
     for bits in range(1, 2**s):
         idx = [i for i in range(s) if bits >> i & 1]
-        kkt = np.pad(q[np.ix_(idx, idx)], (0, 1), constant_values=1.0)
-        kkt[-1, -1] = 0.0
+        rows = idx + [s]
         try:
-            x = np.linalg.solve(kkt, np.append(b[idx], 1.0))[:-1]
+            x = np.linalg.solve(kkt[np.ix_(rows, rows)], rhs[rows])[:-1]
         except np.linalg.LinAlgError:
             continue
         if not (np.all(x >= 0.0) and x.sum() > 0.0):
@@ -248,8 +259,8 @@ def lower_bound(state: ProbitMKLState) -> float:
     # Class 1's factors mirror class 0's, so each per-class term counts twice.
     bound = float(log_z.sum()) - float(np.sum(state.w_cov * state.k_eff_sq))
 
-    e_alpha = state.scale_shape / state.scale_rate
-    e_log_alpha = digamma(state.scale_shape) - np.log(state.scale_rate)
+    e_alpha = SCALE_SHAPE / state.scale_rate
+    e_log_alpha = digamma(SCALE_SHAPE) - np.log(state.scale_rate)
     w_sq = state.w_mean**2 + np.diag(state.w_cov)
     bound += float(np.sum(e_log_alpha)) - float(np.sum(e_alpha * w_sq))
     bound += state.w_logdet + state.n_samples
@@ -257,10 +268,10 @@ def lower_bound(state: ProbitMKLState) -> float:
     a0, b0 = GAMMA_PRIOR_SHAPE, GAMMA_PRIOR_RATE
     prior = (a0 - 1.0) * e_log_alpha - b0 * e_alpha + a0 * math.log(b0) - gammaln(a0)
     entropy = (
-        state.scale_shape
+        SCALE_SHAPE
         - np.log(state.scale_rate)
-        + gammaln(state.scale_shape)
-        + (1.0 - state.scale_shape) * digamma(state.scale_shape)
+        + gammaln(SCALE_SHAPE)
+        + (1.0 - SCALE_SHAPE) * digamma(SCALE_SHAPE)
     )
     bound += 2.0 * float(np.sum(prior + entropy))
     if not np.isfinite(bound):
@@ -399,8 +410,8 @@ def _standardizer_to_doc(s: Standardizer) -> dict:
 
 def _standardizer_from_doc(doc: dict) -> Standardizer:
     return Standardizer(
-        mean=np.array(doc["mean"], dtype=float),
-        std=np.array(doc["std"], dtype=float),
+        mean=json_real(doc["mean"], "standardizer mean", 1),
+        std=json_real(doc["std"], "standardizer std", 1),
         zero_variance=np.array(
             [json_typed(z, bool, "zero_variance") for z in doc["zero_variance"]], dtype=bool
         ),
@@ -410,9 +421,9 @@ def _standardizer_from_doc(doc: dict) -> Standardizer:
 def _spec_from_doc(doc: dict) -> KernelSpec:
     return KernelSpec(
         kind=doc["kind"],
-        sigma=doc["sigma"],
+        sigma=None if doc["sigma"] is None else json_real(doc["sigma"], "sigma"),
         degree=json_typed(doc["degree"], int, "degree"),
-        offset=float(doc["offset"]),
+        offset=json_real(doc["offset"], "offset"),
     )
 
 
@@ -449,13 +460,13 @@ def model_from_document(text: str) -> TrainedModel:
             subset_names=tuple(doc["subset_names"]),
             standardizers=tuple(_standardizer_from_doc(d) for d in doc["standardizers"]),
             kernel_specs=tuple(_spec_from_doc(d) for d in doc["kernel_specs"]),
-            beta=np.array(doc["beta"], dtype=float),
-            w_mean=np.array(doc["w_mean"], dtype=float),
-            w_cov_diag=np.array(doc["w_cov_diag"], dtype=float),
-            train_features=tuple(np.array(x, dtype=float) for x in doc["train_features"]),
+            beta=json_real(doc["beta"], "beta", 1),
+            w_mean=json_real(doc["w_mean"], "w_mean", 1),
+            w_cov_diag=json_real(doc["w_cov_diag"], "w_cov_diag", 1),
+            train_features=tuple(json_real(x, "train_features", 2) for x in doc["train_features"]),
             class_labels=tuple(json_typed(c, int, "class label") for c in doc["class_labels"]),
             converged=json_typed(doc["converged"], bool, "converged"),
-            lb_trace=tuple(float(v) for v in doc["lb_trace"]),
+            lb_trace=tuple(json_real(doc["lb_trace"], "lb_trace", 1).tolist()),
         )
         _check_agreement(model)
     except FormatError:

@@ -16,7 +16,7 @@ import pathlib
 import numpy as np
 
 from tsakit import experiments, kb, mkprobit, simulator
-from tsakit.mkprobit import init_state, train, update_regressors_and_scales
+from tsakit.mkprobit import SCALE_SHAPE, init_state, train, update_regressors_and_scales
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -56,7 +56,7 @@ def test_jitter_escalation_leaves_one_counted_message():
     # The tracer counts escalations as state messages holding "extra jitter".
     # A scale rate that drives one precision entry to -1e-7 needs 1e-6 extra.
     state = init_state([np.eye(2)], np.array([0, 1]))
-    state.scale_rate[1] = -state.scale_shape[1] / (state.k_eff_sq[1, 1] + 1e-7)
+    state.scale_rate[1] = -SCALE_SHAPE / (state.k_eff_sq[1, 1] + 1e-7)
     update_regressors_and_scales(state)
     assert len(state.messages) == 1
     assert "extra jitter 1e-06" in state.messages[0]

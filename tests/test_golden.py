@@ -5,6 +5,12 @@ compare against digests recorded from an earlier commit, so output drift
 between commits fails here.  The digests hold for numpy 2.4.6 and scipy
 1.17.1; a different BLAS, numpy or scipy build may legitimately move the
 last bits of the model document and would need them recorded afresh.
+They also depend on how OpenBLAS runs: its thread count and the core type
+whose kernels it picks.  They were recorded with the default thread count
+on a two-core host with SkylakeX kernels; under OPENBLAS_NUM_THREADS=1 the
+model digest differs.  Under OPENBLAS_CORETYPE=Haswell or Sandybridge the
+KB, model and trajectory digests differ, and so does the trajectory gate's
+exact clause on the slack machine's mechanical power (by one ulp).
 
 A digest only says "bytes differ".  The gates say "still equivalent":
 KB texts against committed references (plan, ids, labels and discards
@@ -39,7 +45,7 @@ from tsakit.simulator import Scenario, simulate, trajectory_to_csv
 SMALL_KB_SHA256 = "10d076fb721bcedd5afa330c0d544bf312e88b75824f6a18e97a5e83438843df"
 # The same plan with noise_max_rel_error = 0.01.
 NOISY_SMALL_KB_SHA256 = "35696c1cdddaf443ee07e1b5ac27738ed5146a636371ee73d70a1b83e101b985"
-MODEL_SHA256 = "d8bdc50a0aa20e873f178779a8ad73c4cf221e725396704f845db6e7e9a01912"
+MODEL_SHA256 = "90aa062e78c32cb0e7102a416933a88837ec395f39b1a4a2c634e2893b24422d"
 # `tsakit simulate --fault-bus 7 --load-scale 1.1` writes this CSV.
 TRAJECTORY_SHA256 = "0c769ef8c4aef861381ec0ffb6cfb21a0a7777e12d29338d32f6d173cb8e6869"
 # table4 over seed 0 at n_train = 12, no KB hash line.

@@ -603,6 +603,14 @@ def test_cli_gen_kb_rejects_repeated_cells(tmp_path, capsys):
     assert capsys.readouterr().err.count("error:") == 2
 
 
+def test_cli_gen_kb_refuses_nan_noise(tmp_path, capsys):
+    # NaN fails every comparison, so the range check must be written to catch it.
+    out = tmp_path / "kb.txt"
+    assert cli.main(["gen-kb", "--noise", "nan", "--out", str(out)]) == 1
+    assert "noise" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scheme", ["F1(Kg)", "F3(Kg)"])
 @pytest.mark.parametrize("width", [22, 24])
 def test_cli_predict_rejects_wrong_row_width(kb_file, small_kb, scheme, width, tmp_path, capsys):

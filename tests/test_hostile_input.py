@@ -6,6 +6,7 @@ fractional or boolean spellings.  The outcome must be a value or an InvalidArgum
 FormatError extends), the errors the CLI turns into exit code 1.
 """
 
+import json
 import pathlib
 import re
 
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tsakit import cli
-from tsakit.errors import InvalidArgumentError
+from tsakit.errors import FormatError, InvalidArgumentError
 from tsakit.experiments import parse_scheme, split_stream, train_model
 from tsakit.kb import kb_from_text, split
 from tsakit.mkprobit import model_from_document, model_to_document
@@ -108,3 +109,38 @@ def test_mutated_documents_are_values_or_bad_input(documents, kind):
             pass
 
     check()
+
+
+# (document, line, path to the field, value): each real-valued field set to
+# a JSON boolean, which Python would otherwise read as the number 0 or 1.
+BOOLEAN_REALS = [
+    ("kb", 0, ("plan", "load_levels"), [True, 1.25]),
+    ("kb", 0, ("plan", "observation_horizon_s"), True),
+    ("kb", 0, ("noise_max_rel_error",), False),
+    ("kb", 1, ("features", 0), True),
+    ("model", 0, ("kernel_specs", 0, "sigma"), True),
+    ("model", 0, ("kernel_specs", 1, "offset"), True),
+    ("model", 0, ("beta",), [True, False]),
+    ("model", 0, ("w_mean", 0), True),
+    ("model", 0, ("w_cov_diag", 0), False),
+    ("model", 0, ("standardizers", 0, "mean", 0), True),
+    ("model", 0, ("standardizers", 1, "std", 0), True),
+    ("model", 0, ("train_features", 0, 0, 0), True),
+    ("model", 0, ("lb_trace", 0), True),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, line, path, value",
+    BOOLEAN_REALS,
+    ids=[f"{kind}-{'.'.join(map(str, path))}" for kind, _, path, _ in BOOLEAN_REALS],
+)
+def test_booleans_are_not_reals(documents, kind, line, path, value):
+    _, texts = documents
+    docs = [json.loads(text) for text in texts[kind].splitlines()]
+    parent = docs[line]
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(FormatError):
+        READERS[kind]("\n".join(json.dumps(d) for d in docs) + "\n", None)

@@ -88,7 +88,7 @@ def test_zero_noise_is_identity(faulted_trajectory):
     assert inject_noise(faulted_trajectory, 0.0, seed=1) is faulted_trajectory
 
 
-@pytest.mark.parametrize("bad", [-0.01, NOISE_MAX + 1e-9, 0.5])
+@pytest.mark.parametrize("bad", [-0.01, NOISE_MAX + 1e-9, 0.5, float("nan")])
 def test_noise_level_bounds(faulted_trajectory, bad):
     with pytest.raises(InvalidArgumentError):
         inject_noise(faulted_trajectory, bad, seed=1)

@@ -30,8 +30,10 @@ from tsakit.mkprobit import (
     GAMMA_PRIOR_RATE,
     GAMMA_PRIOR_SHAPE,
     JITTER,
+    SCALE_SHAPE,
     TrainedModel,
     _class_probabilities,
+    _mixture_terms,
     _solve_spd,
     _truncated_moments,
     init_state,
@@ -230,13 +232,13 @@ def test_regressor_update_matches_ridge_formula():
     # with unit prior scale, so cov = 1/(k^2 + 1) and mean = k y/(k^2 + 1).
     targets = np.array([0, 1])
     state = init_state([np.eye(2)], targets)
+    assert np.all(SCALE_SHAPE / state.scale_rate == GAMMA_PRIOR_SHAPE / GAMMA_PRIOR_RATE)
     update_regressors_and_scales(state)
     k = 1.0 + JITTER
     gain = k / (k**2 + 1.0)
     assert_allclose(state.w_cov, np.eye(2) / (k**2 + 1.0), rtol=1e-12)
     assert_allclose(state.w_mean, gain * state.y_mean, rtol=1e-12)
     assert_allclose(state.w_logdet, -2.0 * np.log(k**2 + 1.0), rtol=1e-12)
-    assert_allclose(state.scale_shape, GAMMA_PRIOR_SHAPE + 0.5, rtol=0, atol=0)
     expected_rate = GAMMA_PRIOR_RATE + 0.5 * (gain**2 + 1.0 / (k**2 + 1.0))
     assert_allclose(state.scale_rate, expected_rate, rtol=1e-12)
 
@@ -295,7 +297,7 @@ def test_single_regressor_matches_per_class_updates(toy_grams, toy_dataset):
     _, targets = toy_dataset
     state = train(toy_grams, targets, max_iters=4)
     aux = np.stack([state.y_mean, -state.y_mean])
-    shape = np.stack([state.scale_shape] * 2)
+    shape = np.full((2, len(targets)), SCALE_SHAPE)
     rate = np.stack([state.scale_rate] * 2)
     solves = [
         _solve_spd(state.k_eff_sq + np.diag(shape[c] / rate[c])) for c in range(2)
@@ -321,7 +323,7 @@ def test_single_regressor_matches_per_class_updates(toy_grams, toy_dataset):
         np.stack([state.w_mean, -state.w_mean]),
         np.stack([state.w_cov] * 2),
         np.full(2, state.w_logdet),
-        np.stack([state.scale_shape] * 2),
+        np.full((2, len(targets)), SCALE_SHAPE),
         np.stack([state.scale_rate] * 2),
         state.k_eff,
         state.k_eff_sq,
@@ -430,9 +432,49 @@ def _toy_spaces(toy_dataset, kinds):
 
 def _mixture_score(state, beta):
     """g(beta) = -||y - w K^beta||^2 - tr(Sigma (K^beta)^2), formed directly."""
-    k = compose(state.grams, beta) + JITTER * np.eye(state.n_samples)
+    k = compose(state.grams, beta)
     resid = state.y_mean - state.w_mean @ k
     return -float(resid @ resid) - float(np.trace(state.w_cov @ k @ k))
+
+
+def _relative_error(value, reference):
+    return float(np.max(np.abs(value - reference)) / np.max(np.abs(reference)))
+
+
+@pytest.mark.parametrize("kinds", [(GAUSSIAN, POLYNOMIAL), (POLYNOMIAL, GAUSSIAN, GAUSSIAN)])
+def test_stacked_products_match_direct_sums(toy_dataset, kinds):
+    # The composite and its square from the stacked arrays match the
+    # jittered sum and its square, and Q is a a' + tr(Sigma K~s K~t) with
+    # each trace taken on its own.
+    _, targets = toy_dataset
+    rng = np.random.default_rng(7)
+    raw = _toy_spaces(toy_dataset, kinds)
+    jittered = [g + JITTER * np.eye(len(targets)) for g in raw]
+    state = init_state(raw, targets)
+    for _ in range(3):
+        update_regressors_and_scales(state)
+        update_auxiliaries(state)
+        beta = rng.dirichlet(np.ones(len(kinds)))
+        state.set_beta(beta)
+        assert _relative_error(state.k_eff, compose(jittered, beta)) <= 1e-12
+        assert _relative_error(state.k_eff_sq, state.k_eff @ state.k_eff) <= 1e-12
+
+        a = np.stack([state.w_mean @ g for g in jittered])
+        trace = [[np.trace(state.w_cov @ gs @ gt) for gt in jittered] for gs in jittered]
+        b, q = _mixture_terms(state)
+        assert _relative_error(q, a @ a.T + np.array(trace)) <= 1e-12
+        assert _relative_error(b, a @ state.y_mean) <= 1e-12
+
+
+def test_state_grams_carry_the_jitter_once(toy_grams, toy_dataset):
+    _, targets = toy_dataset
+    state = init_state(toy_grams, targets)
+    n = len(targets)
+    assert state.grams.shape == (2, n, n)
+    assert state.products.shape == (2, 2, n, n)
+    for g, raw in zip(state.grams, toy_grams):
+        assert np.array_equal(g, raw + JITTER * np.eye(n))
+    assert not np.shares_memory(state.grams, toy_grams[0])
 
 
 @pytest.mark.parametrize(
