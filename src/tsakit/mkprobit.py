@@ -20,6 +20,10 @@ it, and training draws no random numbers.
 Training keeps the jittered Grams K~s = K_s + JITTER I as one (S, N, N)
 array and their products K~s K~t as one (S, S, N, N) array, formed once
 per fit, so adopting a mixture and updating it are one contraction each.
+Each regressor update copies K_beta^2 once into a Fortran-ordered buffer,
+adds the ridge to its diagonal in place, and has LAPACK factor and invert
+that buffer where it lies; the inverse's lower triangle is mirrored
+through a strict-upper mask that is also formed once per fit.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .errors import (
     read_text,
 )
 from .features import FEATURE_NAMES, Standardizer, subset_columns
-from .kernels import KernelSpec, compose, cross_gram, validate_simplex
+from .kernels import KernelSpec, cross_gram, validate_simplex
 
 N_CLASSES = 2
 JITTER = 1e-8
@@ -51,6 +55,11 @@ GAMMA_PRIOR_SHAPE = 1e-3
 GAMMA_PRIOR_RATE = 1e-3
 # Each precision governs one weight, so its Gamma posterior has this shape.
 SCALE_SHAPE = GAMMA_PRIOR_SHAPE + 0.5
+# Constant terms of the bound's Gamma prior and entropy.
+_DIGAMMA_SCALE_SHAPE = float(digamma(SCALE_SHAPE))
+_GAMMALN_SCALE_SHAPE = float(gammaln(SCALE_SHAPE))
+_GAMMALN_A0 = float(gammaln(GAMMA_PRIOR_SHAPE))
+_A0_LOG_B0 = GAMMA_PRIOR_SHAPE * math.log(GAMMA_PRIOR_RATE)
 MAX_ITERS = 200
 BOUND_REL_TOL = 1e-5
 # Batch prediction takes the query rows in blocks of about this many
@@ -69,6 +78,7 @@ class ProbitMKLState:
 
     grams: np.ndarray            # (S, N, N) jittered Grams K~s = K_s + JITTER I
     products: np.ndarray         # (S, S, N, N), [s, t] = K~s K~t
+    upper: np.ndarray            # (N, N) bool, True strictly above the diagonal
     beta: np.ndarray             # (S,) mixture weights on the simplex
     targets: np.ndarray          # (N,) class indices, 0 or 1
     k_eff: np.ndarray            # sum_s beta_s K~s
@@ -102,7 +112,8 @@ def init_state(grams, targets) -> ProbitMKLState:
     prior mean, auxiliary means at +1 for the sample's own class and -1
     for the other, and the mixture uniform over the kernel spaces.  The
     jittered Grams and their pairwise products are formed here, once per
-    fit; this is the only place JITTER enters.
+    fit, with the strict-upper mask the regressor solve mirrors through;
+    this is the only place JITTER enters.
     """
     targets = np.asarray(targets, dtype=int)
     if targets.ndim != 1 or targets.size == 0:
@@ -122,6 +133,7 @@ def init_state(grams, targets) -> ProbitMKLState:
     state = ProbitMKLState(
         grams=grams,
         products=grams[:, None] @ grams[None, :],
+        upper=np.triu(np.ones((n, n), bool), 1),
         beta=np.full(s, 1.0 / s),
         targets=targets,
         k_eff=np.empty((n, n)),
@@ -137,19 +149,31 @@ def init_state(grams, targets) -> ProbitMKLState:
     return state
 
 
-def _solve_spd(precision: np.ndarray):
-    """Cholesky inverse, from the factor, with escalating diagonal regularisation."""
-    n = precision.shape[0]
+def _solve_spd(k_sq: np.ndarray, ridge: np.ndarray, upper: np.ndarray):
+    """Inverse of k_sq + diag(ridge) and its log-determinant, by Cholesky.
+
+    Each attempt copies k_sq into one Fortran-ordered buffer, adds the
+    ridge and then the escalating extra jitter to its diagonal, and has
+    LAPACK factor and invert the buffer in place.  A failed factorisation
+    has overwritten the buffer, so the next attempt starts again from
+    k_sq.  The inverse's lower triangle is mirrored onto the entries
+    `upper` marks, and the C-ordered transpose is returned.
+    """
     for extra in JITTER_ESCALATION:
-        chol, info = dpotrf(precision + extra * np.eye(n), lower=1)
-        if info == 0:
-            inverse, info = dpotri(chol, lower=1)
+        buf = np.array(k_sq, order="F")
+        diagonal = np.einsum("ii->i", buf)
+        diagonal += ridge
+        diagonal += extra
+        chol, info = dpotrf(buf, lower=1, overwrite_a=1)
         if info != 0:
             continue
-        cov = np.tril(inverse)
-        cov += np.tril(cov, -1).T
+        # dpotri overwrites the factor, so its diagonal is read first.
         logdet_cov = -2.0 * float(np.sum(np.log(np.diag(chol))))
-        return cov, logdet_cov, extra
+        cov, info = dpotri(chol, lower=1, overwrite_c=1)
+        if info != 0:
+            continue
+        np.copyto(cov, cov.T, where=upper)
+        return cov.T, logdet_cov, extra
     raise NumericalFailureError(
         "regressor precision stayed non-positive-definite after jitter escalation"
     )
@@ -157,8 +181,9 @@ def _solve_spd(precision: np.ndarray):
 
 def update_regressors_and_scales(state: ProbitMKLState) -> None:
     """Refresh the Gaussian regressor posterior, then its ARD scales."""
-    precision = state.k_eff_sq + np.diag(SCALE_SHAPE / state.scale_rate)
-    state.w_cov, state.w_logdet, extra = _solve_spd(precision)
+    state.w_cov, state.w_logdet, extra = _solve_spd(
+        state.k_eff_sq, SCALE_SHAPE / state.scale_rate, state.upper
+    )
     if extra > 0.0:
         state.messages.append(f"regressor solve needed extra jitter {extra:g}")
     state.w_mean = state.w_cov @ (state.k_eff @ state.y_mean)
@@ -260,18 +285,19 @@ def lower_bound(state: ProbitMKLState) -> float:
     bound = float(log_z.sum()) - float(np.sum(state.w_cov * state.k_eff_sq))
 
     e_alpha = SCALE_SHAPE / state.scale_rate
-    e_log_alpha = digamma(SCALE_SHAPE) - np.log(state.scale_rate)
+    log_rate = np.log(state.scale_rate)
+    e_log_alpha = _DIGAMMA_SCALE_SHAPE - log_rate
     w_sq = state.w_mean**2 + np.diag(state.w_cov)
     bound += float(np.sum(e_log_alpha)) - float(np.sum(e_alpha * w_sq))
     bound += state.w_logdet + state.n_samples
 
     a0, b0 = GAMMA_PRIOR_SHAPE, GAMMA_PRIOR_RATE
-    prior = (a0 - 1.0) * e_log_alpha - b0 * e_alpha + a0 * math.log(b0) - gammaln(a0)
+    prior = (a0 - 1.0) * e_log_alpha - b0 * e_alpha + _A0_LOG_B0 - _GAMMALN_A0
     entropy = (
         SCALE_SHAPE
-        - np.log(state.scale_rate)
-        + gammaln(SCALE_SHAPE)
-        + (1.0 - SCALE_SHAPE) * digamma(SCALE_SHAPE)
+        - log_rate
+        + _GAMMALN_SCALE_SHAPE
+        + (1.0 - SCALE_SHAPE) * _DIGAMMA_SCALE_SHAPE
     )
     bound += 2.0 * float(np.sum(prior + entropy))
     if not np.isfinite(bound):
@@ -348,14 +374,19 @@ class TrainedModel:
 
 
 def _composite_rows(model: TrainedModel, raw: np.ndarray) -> np.ndarray:
-    """Mixture kernel rows between query samples and the training set."""
-    parts = [
-        cross_gram(std.transform(raw[:, subset_columns(name)]), train_x, spec)
-        for name, std, spec, train_x in zip(
-            model.subset_names, model.standardizers, model.kernel_specs, model.train_features
-        )
-    ]
-    return compose(parts, model.beta)
+    """Mixture kernel rows between query samples and the training set.
+
+    beta was checked on the simplex where it entered the model, so the
+    weighted sum is formed here without `compose`'s checks.
+    """
+    rows = 0.0
+    for name, std, spec, train_x, weight in zip(
+        model.subset_names, model.standardizers, model.kernel_specs, model.train_features,
+        model.beta,
+    ):
+        part = cross_gram(std.transform(raw[:, subset_columns(name)]), train_x, spec)
+        rows = rows + weight * part
+    return rows
 
 
 def _class_probabilities(mean: np.ndarray, spread: np.ndarray) -> np.ndarray:

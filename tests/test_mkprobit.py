@@ -243,11 +243,15 @@ def test_regressor_update_matches_ridge_formula():
     assert_allclose(state.scale_rate, expected_rate, rtol=1e-12)
 
 
+def strict_upper(n):
+    return np.triu(np.ones((n, n), bool), 1)
+
+
 def test_solve_spd_inverts_and_reports_logdet():
     rng = np.random.default_rng(12)
     a = rng.normal(size=(8, 8))
     spd = a @ a.T + 8.0 * np.eye(8)
-    cov, logdet, extra = _solve_spd(spd)
+    cov, logdet, extra = _solve_spd(spd, np.zeros(8), strict_upper(8))
     assert extra == 0.0
     assert_allclose(cov @ spd, np.eye(8), rtol=0, atol=1e-10)
     sign, expected = np.linalg.slogdet(cov)
@@ -256,14 +260,67 @@ def test_solve_spd_inverts_and_reports_logdet():
 
 
 def test_solve_spd_escalates_regularisation():
-    cov, _, extra = _solve_spd(np.diag([1.0, -1e-7]))
+    cov, _, extra = _solve_spd(np.diag([1.0, -1e-7]), np.zeros(2), strict_upper(2))
     assert extra == 1e-6
     assert np.all(np.isfinite(cov))
 
 
 def test_solve_spd_gives_up_on_hopeless_input():
     with pytest.raises(NumericalFailureError):
-        _solve_spd(-np.eye(3))
+        _solve_spd(-np.eye(3), np.zeros(3), strict_upper(3))
+
+
+def test_solve_spd_matches_dense_inverse():
+    rng = np.random.default_rng(31)
+    n = 60
+    a = rng.normal(size=(n, n))
+    k_sq = a @ a.T
+    ridge = rng.uniform(0.5, 2.0, size=n)
+    k_before = k_sq.copy()
+    cov, logdet, extra = _solve_spd(k_sq, ridge, strict_upper(n))
+    precision = k_sq + np.diag(ridge)
+    assert extra == 0.0
+    assert np.array_equal(k_sq, k_before)
+    assert _relative_error(cov, np.linalg.inv(precision)) <= 1e-12
+    assert_allclose(logdet, -np.linalg.slogdet(precision)[1], rtol=1e-12)
+    assert np.array_equal(cov, cov.T)
+    assert cov.flags.c_contiguous
+
+
+def test_solve_spd_escalation_restarts_from_the_input():
+    # The failed factorisation at extra = 0 overwrites its buffer; the next
+    # attempt must invert k_sq + diag(ridge) + 1e-6 I, not the wreckage.
+    # One eigenvalue of the precision is -0.5e-6 and the others lie in
+    # [0.2e-6, 1e-6], so the jittered matrix is well conditioned.
+    rng = np.random.default_rng(32)
+    n = 12
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    eigenvalues = np.append(-0.5, rng.uniform(0.2, 1.0, size=n - 1)) * 1e-6
+    ridge = rng.uniform(0.1, 0.3, size=n) * 1e-6
+    k_sq = (q * eigenvalues) @ q.T - np.diag(ridge)
+    cov, logdet, extra = _solve_spd(k_sq, ridge, strict_upper(n))
+    assert extra == 1e-6
+    jittered = k_sq + np.diag(ridge) + 1e-6 * np.eye(n)
+    assert _relative_error(cov, np.linalg.inv(jittered)) <= 1e-12
+    assert_allclose(logdet, -np.linalg.slogdet(jittered)[1], rtol=1e-12)
+    assert np.array_equal(cov, cov.T)
+
+
+def test_regressor_update_temporaries_stay_small():
+    rng = np.random.default_rng(33)
+    n = 200
+    x = rng.normal(size=(n, 4))
+    targets = (x[:, 0] > 0).astype(int)
+    spec = KernelSpec(kind=GAUSSIAN, sigma=median_width(x))
+    state = init_state([base_gram(x, spec)], targets)
+    update_regressors_and_scales(state)
+    tracemalloc.start()
+    try:
+        update_regressors_and_scales(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * n * n * 8
 
 
 def per_class_moments(m, targets):
@@ -300,7 +357,7 @@ def test_single_regressor_matches_per_class_updates(toy_grams, toy_dataset):
     shape = np.full((2, len(targets)), SCALE_SHAPE)
     rate = np.stack([state.scale_rate] * 2)
     solves = [
-        _solve_spd(state.k_eff_sq + np.diag(shape[c] / rate[c])) for c in range(2)
+        _solve_spd(state.k_eff_sq, shape[c] / rate[c], state.upper) for c in range(2)
     ]
     cov = np.stack([s[0] for s in solves])
     logdet = np.array([s[1] for s in solves])
