@@ -51,6 +51,15 @@ def json_real(value, what: str, ndim: int = 0, line=None):
     raise FormatError(f"{what} must be {shape}", line=line)
 
 
+def require_count(value, what: str, minimum: int = 1) -> None:
+    """InvalidArgumentError unless `value` is an integer (numpy integers too,
+    booleans not) of at least `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidArgumentError(f"{what} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InvalidArgumentError(f"{what} must be at least {minimum}")
+
+
 def read_text(path) -> str:
     """Whole contents of a UTF-8 text file; undecodable bytes are a FormatError."""
     with open(path, "r", encoding="utf-8") as fh:

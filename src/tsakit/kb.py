@@ -27,6 +27,7 @@ from .errors import (
     json_real,
     json_typed,
     read_text,
+    require_count,
 )
 from .features import FEATURE_NAMES, extract_features
 from .network import NetworkCase, reduce_to_generators, solve_equilibrium
@@ -77,10 +78,8 @@ class ScenarioPlan:
         level_labels = {f"{lv:.2f}" for lv in self.load_levels}
         if len(level_labels) != len(self.load_levels):
             raise InvalidArgumentError("load levels must differ at two decimals")
-        if self.dispatches_per_level < 1:
-            raise InvalidArgumentError("dispatches_per_level must be at least 1")
-        if self.fault_clearing_cycles < 1:
-            raise InvalidArgumentError("fault_clearing_cycles must be at least 1")
+        require_count(self.dispatches_per_level, "dispatches_per_level")
+        require_count(self.fault_clearing_cycles, "fault_clearing_cycles")
 
     @property
     def n_planned(self) -> int:

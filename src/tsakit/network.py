@@ -268,11 +268,25 @@ def electrical_power(delta: np.ndarray, table: np.ndarray) -> np.ndarray:
     With u = exp(j delta) and T from `power_tables`, Pe = Re(u * (T conj(u))),
     which is sum_j E_i E_j (G_ij cos(d_i - d_j) + B_ij sin(d_i - d_j)); the
     j = i term is the E_i^2 G_ii loss.  Angles (..., n) take tables (..., n, n).
+    This checks the shapes and hands over to `_power`, the one
+    implementation, which the swing integrator calls directly.
     """
     delta = np.asarray(delta, dtype=float)
     if delta.shape[-1:] != table.shape[-1:]:
         raise InvalidArgumentError("angle vector does not match the power table")
-    u = np.exp(1j * delta)
+    return _power(delta, table)
+
+
+def _power(delta: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """`electrical_power` on float angles whose shape matches the table.
+
+    u is exp(0 + j delta), cheaper than multiplying by 1j, and gives every
+    bit of the exp(1j * delta) form's Pe (only the phasor of -0.0 differs,
+    in the sign of its zero imaginary part).
+    """
+    z = np.zeros(delta.shape, complex)
+    z.imag = delta
+    u = np.exp(z)
     return (u * (table @ u.conj()[..., None])[..., 0]).real
 
 

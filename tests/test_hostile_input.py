@@ -144,3 +144,24 @@ def test_booleans_are_not_reals(documents, kind, line, path, value):
     parent[path[-1]] = value
     with pytest.raises(FormatError):
         READERS[kind]("\n".join(json.dumps(d) for d in docs) + "\n", None)
+
+
+# Horizons whose sample arrays numpy could not index: refused before the
+# run builds or allocates anything.  (A horizon that merely needs gigabytes
+# would be accepted and run for days, so none is tried here.)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--horizon", "1e300"],
+        ["simulate", "--horizon", "1e18"],
+        ["simulate", "--horizon", "1.7e308"],
+        ["gen-kb", "--levels", "1.0", "--dispatches", "1", "--fault-buses", "7", "--horizon", "1e300"],
+    ],
+    ids=["simulate-1e300", "simulate-1e18", "simulate-1.7e308", "gen-kb-1e300"],
+)
+def test_absurd_horizon_is_bad_input(tmp_path, capsys, argv):
+    out = tmp_path / "out.txt"
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "samples" in err
+    assert not out.exists()

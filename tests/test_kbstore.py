@@ -65,11 +65,27 @@ def test_cells_iterate_bus_fastest():
         dict(fault_buses=(7,), load_levels=(1.05, 1.049)),
         dict(fault_buses=(7,), load_levels=(float("nan"),)),
         dict(fault_buses=(7,), load_levels=(float("inf"),)),
+        # counts are integers: no fractions, floats or booleans
+        dict(fault_buses=(7,), dispatches_per_level=1.5),
+        dict(fault_buses=(7,), dispatches_per_level=2.0),
+        dict(fault_buses=(7,), dispatches_per_level=True),
+        dict(fault_buses=(7,), fault_clearing_cycles=2.5),
+        dict(fault_buses=(7,), fault_clearing_cycles=True),
     ],
 )
 def test_plan_rejects_bad_arguments(kwargs):
     with pytest.raises(InvalidArgumentError):
         ScenarioPlan(**kwargs)
+
+
+def test_plan_accepts_numpy_integer_counts():
+    plan = ScenarioPlan(
+        fault_buses=(7, 9),
+        load_levels=(1.0,),
+        dispatches_per_level=np.int64(2),
+        fault_clearing_cycles=np.int32(4),
+    )
+    assert plan.n_planned == 4
 
 
 def test_dispatch_shares_form_a_distribution():

@@ -247,6 +247,31 @@ def test_batched_power_rows_equal_lone_calls(n, lanes, seed):
         assert np.array_equal(batched[b], electrical_power(delta[b], table[b]))
 
 
+@settings(deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_electrical_power_equals_the_literal_phasor_formula(n, lanes, seed):
+    # The phasors are formed as exp(0 + j delta); Pe must keep every bit of
+    # the textbook exp(1j * delta) form, on 1-D (lanes == 0) and batched
+    # angles up to 1e3 rad with signed zeros mixed in, on lossy and
+    # lossless tables.
+    rng = np.random.default_rng(seed)
+    shape = (n,) if lanes == 0 else (lanes, n)
+    delta = rng.uniform(-1e3, 1e3, size=shape) * 10.0 ** rng.uniform(-6.0, 0.0, size=shape)
+    pick = rng.random(shape)
+    delta[pick < 0.15] = 0.0
+    delta[pick > 0.85] = -0.0
+    table = rng.normal(size=shape[:-1] + (n, n)) * rng.integers(0, 2) + 1j * rng.normal(
+        size=shape[:-1] + (n, n)
+    )
+    u = np.exp(1j * delta)
+    literal = (u * (table @ u.conj()[..., None])[..., 0]).real
+    assert electrical_power(delta, table).tobytes() == literal.tobytes()
+
+
 # --- Equilibrium ------------------------------------------------------------
 
 

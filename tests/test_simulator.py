@@ -11,7 +11,13 @@ from numpy.testing import assert_allclose
 
 from tsakit.errors import IntegrationDivergedError, InvalidArgumentError
 from tsakit.kb import _solve_cells
-from tsakit.network import Equilibrium, reduce_to_generators, solve_equilibrium
+from tsakit.network import (
+    Equilibrium,
+    electrical_power,
+    power_tables,
+    reduce_to_generators,
+    solve_equilibrium,
+)
 from tsakit.simulator import (
     INSTABILITY_THRESHOLD_DEG,
     Scenario,
@@ -55,11 +61,32 @@ def make_trajectory(delta, t0_index=2, tcl_index=7, freq=60.0):
         dict(load_scale=float("inf"), dispatch_seed=0, fault_bus=7),
         dict(load_scale=1.0, dispatch_seed=0, fault_bus=7, observation_horizon_s=float("nan")),
         dict(load_scale=1.0, dispatch_seed=0, fault_bus=7, observation_horizon_s=float("inf")),
+        # counts are integers: no fractions, floats or booleans
+        dict(load_scale=1.0, dispatch_seed=0, fault_bus=7, fault_clearing_cycles=2.5),
+        dict(load_scale=1.0, dispatch_seed=0, fault_bus=7, fault_clearing_cycles=np.float64(5)),
+        dict(load_scale=1.0, dispatch_seed=0, fault_bus=7, fault_clearing_cycles=True),
+        dict(load_scale=1.0, dispatch_seed=0, fault_bus=7, fault_clearing_cycles="5"),
     ],
 )
 def test_scenario_rejects_bad_parameters(kwargs):
     with pytest.raises(InvalidArgumentError):
         Scenario(**kwargs)
+
+
+@pytest.mark.parametrize("value", [2.5, 10.0, True, False, "10"])
+def test_simulate_substeps_must_be_an_integer(bundled_case, bundled_equilibrium, value):
+    scenario = Scenario(load_scale=1.0, dispatch_seed=0, fault_bus=7, observation_horizon_s=0.5)
+    with pytest.raises(InvalidArgumentError, match="integer"):
+        simulate(bundled_case, scenario, bundled_equilibrium, substeps_per_cycle=value)
+
+
+def test_numpy_integer_counts_are_accepted(bundled_case, bundled_equilibrium):
+    scenario = Scenario(load_scale=1.0, dispatch_seed=0, fault_bus=7, observation_horizon_s=0.5)
+    numpy_counts = dataclasses.replace(scenario, fault_clearing_cycles=np.int64(5))
+    _assert_same_trajectory(
+        simulate(bundled_case, numpy_counts, bundled_equilibrium, substeps_per_cycle=np.int32(10)),
+        simulate(bundled_case, scenario, bundled_equilibrium),
+    )
 
 
 def test_trajectory_rejects_inconsistent_indices():
@@ -135,6 +162,28 @@ def test_power_channel_is_right_continuous_at_switches(bundled_case, bundled_equ
     # After clearing, the restored network's power at the cleared sample is
     # again far from the fault-on value one sample earlier.
     assert np.max(np.abs(traj.pe[traj.tcl_index] - traj.pe[traj.tcl_index - 1])) > 0.1
+
+
+def _assert_pe_of_active_network(case, scenario, eq, traj):
+    """Every stored Pe sample is that sample's angles on the network active there."""
+    pre = power_tables(eq.network, case.emf)
+    faulted = reduce_to_generators(case, scenario.load_scale, fault_bus=scenario.fault_bus)
+    fault = power_tables(faulted, case.emf)
+    for k in range(traj.n_samples):
+        table = fault if traj.t0_index <= k < traj.tcl_index else pre
+        assert traj.pe[k].tobytes() == electrical_power(traj.delta[k], table).tobytes(), k
+
+
+def test_stored_pe_is_the_active_networks_power(bundled_case, bundled_equilibrium, small_plan_lanes):
+    # The first RK4 stage of a cycle reuses the Pe stored at its sample, so
+    # that Pe must be exactly the active network's, switching samples included.
+    scenario = Scenario(load_scale=1.0, dispatch_seed=0, fault_bus=7, observation_horizon_s=1.0)
+    lone = simulate(bundled_case, scenario, bundled_equilibrium)
+    _assert_pe_of_active_network(bundled_case, scenario, bundled_equilibrium, lone)
+    lanes = small_plan_lanes[:6]
+    batch = simulate_batch(bundled_case, [s for s, _ in lanes], [eq for _, eq in lanes])
+    for (lane_scenario, eq), traj in zip(lanes, batch):
+        _assert_pe_of_active_network(bundled_case, lane_scenario, eq, traj)
 
 
 # --- Fixed point and accuracy -------------------------------------------------
