@@ -63,8 +63,7 @@ def _cmd_simulate(args) -> int:
         fault_clearing_cycles=args.clearing_cycles,
         observation_horizon_s=args.horizon,
     )
-    shares = kbmod.dispatch_shares(case.n_generators, args.dispatch_seed)
-    pm = shares * (case.total_load_p * args.load_scale)
+    pm = kbmod.dispatch_pm(case, args.load_scale, args.dispatch_seed)
     reduced = network.reduce_to_generators(case, args.load_scale)
     eq = network.solve_equilibrium(case, reduced, pm)
     traj = simulator.simulate(case, scenario, eq)

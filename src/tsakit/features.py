@@ -9,6 +9,9 @@ Throughout, a_i = (Pm_i - Pe_i) / M_i is the rotor acceleration and
 KE_i = M_i w_i^2 / 2 the kinetic energy deviation of machine i.  Argmax
 selections break ties toward the lowest generator index, which is what
 `numpy.argmax` already does.
+
+Every extractor indexes samples as `[..., k, :]` and reduces over the
+machine axis, so one call reads a lone trajectory or a batch (a row per lane).
 """
 
 from __future__ import annotations
@@ -37,12 +40,18 @@ def subset_columns(name: str) -> slice:
     return SUBSET_SLICES[name]
 
 
-def _acceleration(trajectory: Trajectory, k: int) -> np.ndarray:
-    return (trajectory.pm - trajectory.pe[k]) / trajectory.inertia
+def _acceleration(trajectory: Trajectory, k) -> np.ndarray:
+    return (trajectory.pm - trajectory.pe[..., k, :]) / trajectory.inertia
 
 
-def _kinetic_energy(trajectory: Trajectory, k: int) -> np.ndarray:
-    return 0.5 * trajectory.inertia * trajectory.omega_dev[k] ** 2
+def _kinetic_energy(trajectory: Trajectory, k) -> np.ndarray:
+    return 0.5 * trajectory.inertia * trajectory.omega_dev[..., k, :] ** 2
+
+
+def _at_argmax(values: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """`values` at the machine where `key` peaks (lowest index on ties)."""
+    pick = np.argmax(key, axis=-1)[..., None]
+    return np.take_along_axis(values, pick, axis=-1)[..., 0]
 
 
 def extract_f1(trajectory: Trajectory) -> np.ndarray:
@@ -56,16 +65,14 @@ def extract_f1(trajectory: Trajectory) -> np.ndarray:
     if k0 + 1 >= trajectory.n_samples:
         raise InvalidArgumentError("trajectory ends too soon after fault inception")
     acc = _acceleration(trajectory, k0)
-    ke_next = _kinetic_energy(trajectory, k0 + 1)
-    imbalance = trajectory.pm - trajectory.pe[k0]
-    tz1 = float(np.mean(trajectory.pm))
-    tz2 = float(np.mean(acc))
-    tz3 = float(np.mean((acc - acc.mean()) ** 2))
-    tz4 = float(np.mean(imbalance))
-    tz5 = float(np.max(ke_next))
-    tz6 = float(np.max(np.abs(trajectory.pe[k0 - 1] - trajectory.pe[k0])))
-    tz7 = float(trajectory.delta[k0, int(np.argmax(acc))])
-    return np.array([tz1, tz2, tz3, tz4, tz5, tz6, tz7])
+    tz1 = np.mean(trajectory.pm, axis=-1)
+    tz2 = np.mean(acc, axis=-1)
+    tz3 = np.mean((acc - acc.mean(axis=-1, keepdims=True)) ** 2, axis=-1)
+    tz4 = np.mean(trajectory.pm - trajectory.pe[..., k0, :], axis=-1)
+    tz5 = np.max(_kinetic_energy(trajectory, k0 + 1), axis=-1)
+    tz6 = np.max(np.abs(trajectory.pe[..., k0 - 1, :] - trajectory.pe[..., k0, :]), axis=-1)
+    tz7 = _at_argmax(trajectory.delta[..., k0, :], acc)
+    return np.stack([tz1, tz2, tz3, tz4, tz5, tz6, tz7], axis=-1)
 
 
 def extract_f2(trajectory: Trajectory) -> np.ndarray:
@@ -75,14 +82,15 @@ def extract_f2(trajectory: Trajectory) -> np.ndarray:
     k = trajectory.tcl_index - 1
     acc = _acceleration(trajectory, k)
     ke = _kinetic_energy(trajectory, k)
-    tz8 = float(np.sum(np.abs(trajectory.pm - trajectory.pe[k])))
-    tz9 = float(acc.max() - acc.min())
-    tz10 = float(np.mean(ke))
-    tz11 = float(trajectory.delta[k, int(np.argmax(ke))])
-    tz12 = float(ke[int(np.argmax(trajectory.delta[k]))])
-    tz13 = float(ke.max())
-    tz14 = float(ke.sum())
-    return np.array([tz8, tz9, tz10, tz11, tz12, tz13, tz14])
+    delta = trajectory.delta[..., k, :]
+    tz8 = np.sum(np.abs(trajectory.pm - trajectory.pe[..., k, :]), axis=-1)
+    tz9 = acc.max(axis=-1) - acc.min(axis=-1)
+    tz10 = np.mean(ke, axis=-1)
+    tz11 = _at_argmax(delta, ke)
+    tz12 = _at_argmax(ke, delta)
+    tz13 = ke.max(axis=-1)
+    tz14 = ke.sum(axis=-1)
+    return np.stack([tz8, tz9, tz10, tz11, tz12, tz13, tz14], axis=-1)
 
 
 def extract_f3(trajectory: Trajectory) -> np.ndarray:
@@ -92,22 +100,16 @@ def extract_f3(trajectory: Trajectory) -> np.ndarray:
         raise InvalidArgumentError(
             f"trajectory needs at least {ks[-1] + 1} samples for the recovery subset"
         )
-    max_ke = []
-    ke_of_lead = []
-    spread = []
-    for k in ks:
-        ke = _kinetic_energy(trajectory, k)
-        d = trajectory.delta[k]
-        max_ke.append(float(ke.max()))
-        ke_of_lead.append(float(ke[int(np.argmax(d))]))
-        spread.append(float(d.max() - d.min()))
-    return np.array(max_ke + ke_of_lead + spread)
+    ke = _kinetic_energy(trajectory, ks)  # (..., 3, n): one row per offset
+    d = trajectory.delta[..., ks, :]
+    spread = d.max(axis=-1) - d.min(axis=-1)
+    return np.concatenate([ke.max(axis=-1), _at_argmax(ke, d), spread], axis=-1)
 
 
 def extract_features(trajectory: Trajectory) -> np.ndarray:
-    """All 23 features in Tz1..Tz23 order."""
+    """All 23 features in Tz1..Tz23 order: (23,) or (n_lanes, 23)."""
     return np.concatenate(
-        [extract_f1(trajectory), extract_f2(trajectory), extract_f3(trajectory)]
+        [extract_f1(trajectory), extract_f2(trajectory), extract_f3(trajectory)], axis=-1
     )
 
 

@@ -8,6 +8,10 @@ draw being derived from the plan's master seed through a documented
 counter scheme: scenario number `k` dispatches with the stream seeded by
 (master_seed, k, 0) and, when measurement noise is requested, perturbs
 its channels with the stream seeded by (master_seed, k, 1).
+
+Solved cells are integrated as the lanes of one batched trajectory, whose
+labels, noise and features fill plan-order arrays; a lane that went
+non-finite is discarded like a cell whose equilibrium has no solution.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from .errors import (
     DegenerateKnowledgeBaseError,
     EquilibriumFailureError,
     FormatError,
-    IntegrationDivergedError,
     InvalidArgumentError,
     json_real,
     json_typed,
@@ -138,6 +141,11 @@ def dispatch_shares(n_generators: int, dispatch_seed: int) -> np.ndarray:
     return rng.dirichlet(np.full(n_generators, DISPATCH_CONCENTRATION))
 
 
+def dispatch_pm(case: NetworkCase, load_scale: float, dispatch_seed: int) -> np.ndarray:
+    """Mechanical input per machine: the dispatch shares of the scaled load."""
+    return dispatch_shares(case.n_generators, dispatch_seed) * (case.total_load_p * load_scale)
+
+
 def inject_noise(trajectory: Trajectory, max_rel_error: float, seed) -> Trajectory:
     """Multiplicative measurement error on the observable channels.
 
@@ -145,7 +153,8 @@ def inject_noise(trajectory: Trajectory, max_rel_error: float, seed) -> Trajecto
     electrical power channels becomes m * (1 + eps) with eps drawn
     uniformly from [-max_rel_error, +max_rel_error], one independent draw
     per value.  Mechanical input and inertia are model constants, not
-    measurements, and stay untouched.
+    measurements, and stay untouched.  A batch takes one seed per lane, and
+    each lane draws the three channels as a lone trajectory with its seed.
     """
     if not 0 <= max_rel_error <= NOISE_MAX:
         raise InvalidArgumentError(
@@ -153,13 +162,15 @@ def inject_noise(trajectory: Trajectory, max_rel_error: float, seed) -> Trajecto
         )
     if max_rel_error == 0:
         return trajectory
-    rng = np.random.default_rng(seed)
-    shape = trajectory.delta.shape
-    noisy = {}
-    for name in ("delta", "omega_dev", "pe"):
-        eps = rng.uniform(-max_rel_error, max_rel_error, size=shape)
-        noisy[name] = getattr(trajectory, name) * (1.0 + eps)
-    return replace(trajectory, **noisy)
+    lanes = trajectory.delta.shape[:-2]
+    seeds = list(seed) if lanes else [seed]
+    if lanes and len(seeds) != lanes[0]:
+        raise InvalidArgumentError("a batched trajectory needs one noise seed per lane")
+    size = (3,) + trajectory.delta.shape[-2:]
+    draws = [np.random.default_rng(s).uniform(-max_rel_error, max_rel_error, size) for s in seeds]
+    eps = np.moveaxis(np.array(draws).reshape(lanes + size), -3, 0)
+    noisy = zip(("delta", "omega_dev", "pe"), 1.0 + eps)
+    return replace(trajectory, **{name: getattr(trajectory, name) * f for name, f in noisy})
 
 
 def _solve_cells(case: NetworkCase, plan: ScenarioPlan) -> list:
@@ -168,13 +179,10 @@ def _solve_cells(case: NetworkCase, plan: ScenarioPlan) -> list:
     The equilibrium is None where it cannot be solved.  The intact network
     is reduced once per load level.
     """
-    total_p = case.total_load_p
     intact = {}
     cells = []
     for counter, level, di, bus in plan.cells():
         dispatch_seed = _stream_seed(plan.master_seed, counter, 0)
-        shares = dispatch_shares(case.n_generators, dispatch_seed)
-        pm_target = shares * (total_p * level)
         scenario = Scenario(
             load_scale=level,
             dispatch_seed=dispatch_seed,
@@ -185,7 +193,7 @@ def _solve_cells(case: NetworkCase, plan: ScenarioPlan) -> list:
         if level not in intact:
             intact[level] = reduce_to_generators(case, level)
         try:
-            eq = solve_equilibrium(case, intact[level], pm_target)
+            eq = solve_equilibrium(case, intact[level], dispatch_pm(case, level, dispatch_seed))
         except EquilibriumFailureError:
             eq = None
         cells.append((counter, f"lv{level:.2f}/d{di}/b{bus}", scenario, eq))
@@ -215,43 +223,35 @@ def generate_kb(
 
     cells = _solve_cells(case, plan)
 
-    # Integrate the solved cells in batches; a diverged cell gets no outcome.
+    # Integrate the solved cells in batches and fill plan-order arrays; a
+    # diverged lane is dropped from its batch and stays unfilled.
     solved = [cell for cell in cells if cell[3] is not None]
-    outcomes = {}  # counter -> (feature row, label)
+    kept = np.zeros(len(cells), dtype=bool)
+    rows = np.empty((len(cells), len(FEATURE_NAMES)))
+    labels = np.empty(len(cells), dtype=int)
     for start in range(0, len(solved), BATCH_CELLS):
         batch = solved[start : start + BATCH_CELLS]
-        results = simulate_batch(case, [c[2] for c in batch], [c[3] for c in batch])
-        for (counter, _, _, _), trajectory in zip(batch, results):
-            if isinstance(trajectory, IntegrationDivergedError):
-                continue
-            lab = label(trajectory).value
-            if noise_max_rel_error > 0:
-                trajectory = inject_noise(
-                    trajectory,
-                    noise_max_rel_error,
-                    seed=_stream_seed(plan.master_seed, counter, 1),
-                )
-            outcomes[counter] = (extract_features(trajectory), lab)
+        trajectory, first_bad = simulate_batch(case, [c[2] for c in batch], [c[3] for c in batch])
+        finite = first_bad == trajectory.n_samples
+        counters = np.array([c[0] for c in batch])[finite]
+        if not finite.all():
+            trajectory = trajectory.lanes(finite)
+        kept[counters] = True
+        labels[counters] = label(trajectory).value
+        if noise_max_rel_error > 0:
+            seeds = [_stream_seed(plan.master_seed, int(k), 1) for k in counters]
+            trajectory = inject_noise(trajectory, noise_max_rel_error, seeds)
+        rows[counters] = extract_features(trajectory)
 
-    rows = []
-    labels = []
-    ids = []
-    discarded = []
-    for counter, scenario_id, _, _ in cells:
-        if counter not in outcomes:
-            discarded.append(scenario_id)
-            continue
-        row, lab = outcomes[counter]
-        rows.append(row)
-        labels.append(lab)
-        ids.append(scenario_id)
-
+    labels = labels[kept]
+    ids = [cell[1] for cell, ok in zip(cells, kept) if ok]
+    discarded = [cell[1] for cell, ok in zip(cells, kept) if not ok]
     if len(discarded) > DISCARD_LIMIT * plan.n_planned:
         raise DegenerateKnowledgeBaseError(
             f"{len(discarded)} of {plan.n_planned} scenarios were discarded; "
             "the plan does not fit the case"
         )
-    present = set(labels)
+    present = set(labels.tolist())
     if present != {-1, 1}:
         raise DegenerateKnowledgeBaseError(
             f"knowledge base holds classes {sorted(present)}; need both +1 and -1"
@@ -259,8 +259,8 @@ def generate_kb(
     return KnowledgeBase(
         case_id=case.case_id,
         plan=plan,
-        feature_matrix=np.array(rows),
-        labels=np.array(labels, dtype=int),
+        feature_matrix=rows[kept],
+        labels=labels,
         ids=tuple(ids),
         noise_max_rel_error=noise_max_rel_error,
         discarded=tuple(discarded),

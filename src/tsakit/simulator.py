@@ -8,7 +8,9 @@ steps per cycle; the trajectory is sampled once per cycle.  Each segment
 is one complex power table per scenario (`network.power_tables`), which
 every RK4 stage evaluates with the formula of `network.electrical_power`.
 One RK4 loop serves both entry points: `simulate_batch` advances many
-scenarios of a case side by side, and `simulate` is its one-scenario case.
+scenarios of a case side by side as lanes of one array, and `simulate` is
+its one-lane case.  A batched Trajectory leads every series with the lane
+axis, and `label` reads a lone trajectory or every lane of a batch at once.
 
 The loop's cost is numpy's per-call dispatch on a few elements per lane,
 so it makes as few calls as it can without changing a bit: the step
@@ -23,8 +25,7 @@ sample at `t0_index` is the first fault-on sample and the one at
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,7 +71,10 @@ class Trajectory:
 
     The sampled series have shape (n_samples, n_generators) and share
     indexing; `pm` is constant in time under the classical model and is
-    stored once, with shape (n_generators,).
+    stored once, with shape (n_generators,).  A batch of lanes puts the
+    lane axis first: series (n_lanes, n_samples, n_generators) and `pm`
+    (n_lanes, n_generators), sharing the time axis, switching indices and
+    inertia.
     """
 
     times_s: np.ndarray
@@ -84,11 +88,12 @@ class Trajectory:
 
     def __post_init__(self):
         n = self.times_s.shape[0]
+        shape = self.delta.shape
         for name in ("delta", "omega_dev", "pe"):
             arr = getattr(self, name)
-            if arr.shape[0] != n:
+            if arr.ndim not in (2, 3) or arr.shape[-2] != n or arr.shape != shape:
                 raise InvalidArgumentError(f"series {name} does not match the time axis")
-        if self.pm.shape != (self.delta.shape[1],):
+        if self.pm.shape != shape[:-2] + shape[-1:]:
             raise InvalidArgumentError("pm must hold one entry per generator")
         if not (0 < self.t0_index < self.tcl_index < n):
             raise InvalidArgumentError("switching indices must satisfy 0 < t0 < tcl < length")
@@ -99,12 +104,17 @@ class Trajectory:
 
     @property
     def n_generators(self) -> int:
-        return int(self.delta.shape[1])
+        return int(self.delta.shape[-1])
+
+    def lanes(self, index) -> "Trajectory":
+        """Lanes of a batch: an integer gives a lone trajectory, a mask a batch."""
+        names = ("delta", "omega_dev", "pm", "pe")
+        return replace(self, **{name: getattr(self, name)[index] for name in names})
 
 
 @dataclass(frozen=True)
 class StabilityLabel:
-    """+1 when the maximum post-inception rotor spread stays within bounds."""
+    """+1 when the maximum post-inception rotor spread stays within bounds (per lane)."""
 
     value: int
     max_spread_deg: float
@@ -149,10 +159,11 @@ def simulate(
     scale (InvalidArgumentError otherwise).  Raises IntegrationDivergedError
     on a non-finite state.
     """
-    (result,) = simulate_batch(case, [scenario], [equilibrium], substeps_per_cycle)
-    if isinstance(result, IntegrationDivergedError):
-        raise result
-    return result
+    batch, (bad,) = simulate_batch(case, [scenario], [equilibrium], substeps_per_cycle)
+    if bad < batch.n_samples:
+        message = f"non-finite rotor state at sample {bad}"
+        raise IntegrationDivergedError(message, last_finite_index=int(bad) - 1)
+    return batch.lanes(0)
 
 
 def simulate_batch(
@@ -160,20 +171,20 @@ def simulate_batch(
     scenarios,
     equilibria,
     substeps_per_cycle: int = SUBSTEPS_PER_CYCLE,
-) -> list:
+) -> tuple:
     """Integrate many scenarios of one case in a single vectorised RK4 pass.
 
     Lane b runs `scenarios[b]` from `equilibria[b]`.  Lanes never mix, so
     each lane equals its own `simulate` call bit for bit.  The scenarios
     must share the clearing time and the observation horizon.
 
-    Returns one entry per lane: its Trajectory or, for a lane whose state
-    went non-finite, an IntegrationDivergedError carrying the last finite
-    sample.  Every operation is elementwise per lane, so a non-finite value
-    stays in its lane and leaves the others untouched.
+    Returns (trajectory, first_bad): one batched Trajectory whose series
+    lead with the lane axis, and each lane's first sample with a non-finite
+    rotor state (n_samples for a lane that stayed finite).  Every operation
+    is elementwise per lane, so a non-finite value stays in its lane and
+    leaves the others untouched.
     """
-    scenarios = list(scenarios)
-    equilibria = list(equilibria)
+    scenarios, equilibria = list(scenarios), list(equilibria)
     require_count(substeps_per_cycle, "substeps_per_cycle")
     if not scenarios:
         raise InvalidArgumentError("a batch needs at least one scenario")
@@ -192,14 +203,15 @@ def simulate_batch(
         raise InvalidArgumentError("equilibrium does not match the case")
 
     n_lanes = len(scenarios)
-    # Each sampled series is one (B, n_samples, n) float array.
     cycles = first.observation_horizon_s * freq
-    if not (cycles + 1) * n_lanes * n_gen * 8 < sys.maxsize:
+    try:  # each sampled series is one (B, n_samples, n) float array
+        n_samples = int(round(cycles)) + 1
+        delta, omega, pe_out = (np.empty((n_lanes, n_samples, n_gen)) for _ in range(3))
+    except (OverflowError, ValueError, MemoryError):
         raise InvalidArgumentError(
             f"observation horizon needs {cycles + 1:.4g} samples per series, "
-            "more than one array can hold"
-        )
-    n_samples = int(round(cycles)) + 1
+            "more than memory can hold"
+        ) from None
     t0 = PRE_FAULT_CYCLES
     tcl = t0 + first.fault_clearing_cycles
     if tcl >= n_samples - 1:
@@ -208,7 +220,6 @@ def simulate_batch(
         )
 
     pre, fault = _segment_tables(case, scenarios, equilibria)
-    schedule = [pre] * t0 + [fault] * (tcl - t0) + [pre] * (n_samples - tcl)
     pm = np.stack([eq.pm for eq in equilibria])
     # Constants tiled to (B, n): same-shape operands spare numpy its
     # broadcasting and Python-float overhead, and keep every product's bits.
@@ -218,16 +229,13 @@ def simulate_batch(
     half_h, full_h, sixth_h, two = (
         np.full((n_lanes, n_gen), c) for c in (0.5 * h, h, h / 6.0, 2.0)
     )
-
-    delta = np.empty((n_lanes, n_samples, n_gen))
-    omega = np.empty((n_lanes, n_samples, n_gen))
-    pe_out = np.empty((n_lanes, n_samples, n_gen))
     d = np.stack([eq.delta0 for eq in equilibria])
     w = np.zeros((n_lanes, n_gen))
 
     # A lane that overflows runs on as inf/nan; it is found after the loop.
     with np.errstate(invalid="ignore", over="ignore"):
-        for k, table in enumerate(schedule):
+        for k in range(n_samples):
+            table = fault if t0 <= k < tcl else pre
             delta[:, k] = d
             omega[:, k] = w
             pe = _power(d, table)
@@ -254,38 +262,25 @@ def simulate_batch(
                 w = w + sixth_h * (k1w + two * k2w + two * k3w + k4w)
 
     bad = ~(np.isfinite(delta).all(axis=2) & np.isfinite(omega).all(axis=2))
-    times = np.arange(n_samples) / freq
-    inertia = case.inertia.copy()
-    results = []
-    for b, eq in enumerate(equilibria):
-        if bad[b].any():
-            last = int(bad[b].argmax()) - 1
-            results.append(
-                IntegrationDivergedError(
-                    f"non-finite rotor state at sample {last + 1}", last_finite_index=last
-                )
-            )
-            continue
-        results.append(
-            Trajectory(
-                times_s=times,
-                delta=delta[b],
-                omega_dev=omega[b],
-                pm=eq.pm.copy(),
-                pe=pe_out[b],
-                t0_index=t0,
-                tcl_index=tcl,
-                inertia=inertia,
-            )
-        )
-    return results
+    first_bad = np.where(bad.any(axis=1), bad.argmax(axis=1), n_samples)
+    batch = Trajectory(
+        times_s=np.arange(n_samples) / freq,
+        delta=delta,
+        omega_dev=omega,
+        pm=pm,
+        pe=pe_out,
+        t0_index=t0,
+        tcl_index=tcl,
+        inertia=case.inertia.copy(),
+    )
+    return batch, first_bad
 
 
-def max_angle_divergence(trajectory: Trajectory) -> float:
-    """Largest rotor spread (degrees) at any sample from fault inception on."""
-    window = trajectory.delta[trajectory.t0_index :]
-    spread = window.max(axis=1) - window.min(axis=1)
-    return float(np.degrees(spread.max()))
+def max_angle_divergence(trajectory: Trajectory):
+    """Largest rotor spread (degrees) from fault inception on, per lane for a batch."""
+    window = trajectory.delta[..., trajectory.t0_index :, :]
+    spread = window.max(axis=-1) - window.min(axis=-1)
+    return np.degrees(spread.max(axis=-1))
 
 
 def label(trajectory: Trajectory) -> StabilityLabel:
@@ -294,7 +289,7 @@ def label(trajectory: Trajectory) -> StabilityLabel:
     A spread exactly at INSTABILITY_THRESHOLD_DEG still counts as stable.
     """
     spread = max_angle_divergence(trajectory)
-    value = -1 if spread > INSTABILITY_THRESHOLD_DEG else 1
+    value = np.where(spread > INSTABILITY_THRESHOLD_DEG, -1, 1)[()]
     return StabilityLabel(value=value, max_spread_deg=spread)
 
 

@@ -7,8 +7,11 @@ FormatError extends), the errors the CLI turns into exit code 1.
 """
 
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -147,8 +150,8 @@ def test_booleans_are_not_reals(documents, kind, line, path, value):
 
 
 # Horizons whose sample arrays numpy could not index: refused before the
-# run builds or allocates anything.  (A horizon that merely needs gigabytes
-# would be accepted and run for days, so none is tried here.)
+# run integrates anything.  (A horizon that merely needs gigabytes would be
+# accepted and run for days, so none is tried here.)
 @pytest.mark.parametrize(
     "argv",
     [
@@ -164,4 +167,40 @@ def test_absurd_horizon_is_bad_input(tmp_path, capsys, argv):
     assert cli.main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "samples" in err
+    assert not out.exists()
+
+
+# A horizon numpy could index but memory cannot hold: the series allocation
+# fails and is refused as bad input.  Run only under a capped address space,
+# since a host that overcommits memory could grant the allocation and touch it.
+ADDRESS_SPACE_CAP = 4 * 2**30
+
+CAPPED_MAIN = f"""
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, ({ADDRESS_SPACE_CAP}, {ADDRESS_SPACE_CAP}))
+from tsakit import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--fault-bus", "7", "--horizon", "1e12"],
+        ["gen-kb", "--levels", "1.0", "--dispatches", "1", "--fault-buses", "7", "--horizon", "1e12"],
+    ],
+    ids=["simulate-1e12", "gen-kb-1e12"],
+)
+def test_horizon_beyond_memory_is_bad_input(tmp_path, argv):
+    out = tmp_path / "out.txt"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", CAPPED_MAIN, *argv, "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 1, run.stderr
+    assert run.stderr.startswith("error: observation horizon needs 6e+13 samples"), run.stderr
+    assert "Traceback" not in run.stderr
     assert not out.exists()

@@ -2,12 +2,15 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from tsakit import kb as kbmod
 from tsakit.errors import (
     DegenerateKnowledgeBaseError,
     FormatError,
@@ -189,6 +192,45 @@ def test_discarded_cells_are_accounted_for(bundled_case):
     assert len(kb.discarded) >= 1
     planned_ids = [f"lv{lv:.2f}/d{d}/b{b}" for _, lv, d, b in plan.cells()]
     assert sorted(kb.ids + kb.discarded) == sorted(planned_ids)
+
+
+def _poison_cell(monkeypatch, position):
+    """Give plan cell `position` an equilibrium that overflows in its first RK4 step."""
+    real = kbmod.solve_equilibrium
+    calls = itertools.count()
+
+    def solve(*args):
+        hit = next(calls) == position  # one call per cell, in plan order
+        eq = real(*args)
+        return dataclasses.replace(eq, pm=np.array([1e308, 0.0, -1e308])) if hit else eq
+
+    monkeypatch.setattr(kbmod, "solve_equilibrium", solve)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.01])
+@pytest.mark.parametrize("batch_cells", [kbmod.BATCH_CELLS, 1])
+def test_a_diverged_cell_is_discarded_in_plan_order(bundled_case, monkeypatch, noise, batch_cells):
+    # The plan of test_discarded_cells_are_accounted_for: lv1.30/d0/b4 has no
+    # equilibrium.  Poisoning lv1.15/d0/b7 makes its lane go non-finite; with
+    # one cell per batch that lane is a whole batch.
+    plan = ScenarioPlan(
+        fault_buses=(4, 7, 9), load_levels=(0.95, 1.15, 1.30), dispatches_per_level=2
+    )
+    clean = generate_kb(bundled_case, plan, noise_max_rel_error=noise)
+    assert clean.discarded == ("lv1.30/d0/b4",)
+    planned_ids = [f"lv{lv:.2f}/d{d}/b{b}" for _, lv, d, b in plan.cells()]
+    poisoned_id = "lv1.15/d0/b7"
+    monkeypatch.setattr(kbmod, "BATCH_CELLS", batch_cells)
+    _poison_cell(monkeypatch, planned_ids.index(poisoned_id))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kb = generate_kb(bundled_case, plan, noise_max_rel_error=noise)
+    assert kb.discarded == (poisoned_id, "lv1.30/d0/b4")
+    keep = np.array([sid != poisoned_id for sid in clean.ids])
+    assert kb.ids == tuple(sid for sid in clean.ids if sid != poisoned_id)
+    assert kb.feature_matrix.tobytes() == clean.feature_matrix[keep].tobytes()
+    assert kb.labels.tobytes() == clean.labels[keep].tobytes()
+    assert kb.noise_max_rel_error == noise
 
 
 def test_generation_rejects_bad_noise(bundled_case, small_plan):

@@ -10,7 +10,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from tsakit.errors import IntegrationDivergedError, InvalidArgumentError
-from tsakit.kb import _solve_cells
+from tsakit.features import extract_features
+from tsakit.kb import _solve_cells, inject_noise
 from tsakit.network import (
     Equilibrium,
     electrical_power,
@@ -104,6 +105,15 @@ def test_trajectory_stores_pm_once_per_generator():
     assert traj.pm.shape == (2,)
     with pytest.raises(InvalidArgumentError):
         dataclasses.replace(traj, pm=np.zeros((10, 2)))
+    # A batch leads with the lane axis: pm is (B, n) and every series (B, T, n).
+    series = np.zeros((4, 10, 2))
+    batch = dataclasses.replace(traj, delta=series, omega_dev=series, pe=series, pm=np.zeros((4, 2)))
+    assert batch.lanes(1).pm.shape == (2,)
+    assert batch.lanes(np.array([True, False, True, False])).delta.shape == (2, 10, 2)
+    with pytest.raises(InvalidArgumentError):
+        dataclasses.replace(batch, pm=np.zeros(2))
+    with pytest.raises(InvalidArgumentError):
+        dataclasses.replace(batch, pe=np.zeros((3, 10, 2)))
 
 
 def test_simulate_rejects_horizon_shorter_than_clearing(bundled_case, bundled_equilibrium):
@@ -181,9 +191,9 @@ def test_stored_pe_is_the_active_networks_power(bundled_case, bundled_equilibriu
     lone = simulate(bundled_case, scenario, bundled_equilibrium)
     _assert_pe_of_active_network(bundled_case, scenario, bundled_equilibrium, lone)
     lanes = small_plan_lanes[:6]
-    batch = simulate_batch(bundled_case, [s for s, _ in lanes], [eq for _, eq in lanes])
-    for (lane_scenario, eq), traj in zip(lanes, batch):
-        _assert_pe_of_active_network(bundled_case, lane_scenario, eq, traj)
+    batch, _ = simulate_batch(bundled_case, [s for s, _ in lanes], [eq for _, eq in lanes])
+    for b, (lane_scenario, eq) in enumerate(lanes):
+        _assert_pe_of_active_network(bundled_case, lane_scenario, eq, batch.lanes(b))
 
 
 # --- Fixed point and accuracy -------------------------------------------------
@@ -313,42 +323,68 @@ def _assert_same_trajectory(a, b):
 @pytest.mark.parametrize("order", ["plan", "reversed"])
 def test_batch_lanes_equal_lone_runs(bundled_case, small_plan_lanes, order):
     lanes = small_plan_lanes if order == "plan" else small_plan_lanes[::-1]
-    batch = simulate_batch(bundled_case, [s for s, _ in lanes], [eq for _, eq in lanes])
-    assert len(batch) == len(lanes)
-    for (scenario, eq), traj in zip(lanes, batch):
-        _assert_same_trajectory(traj, simulate(bundled_case, scenario, eq))
+    batch, first_bad = simulate_batch(bundled_case, [s for s, _ in lanes], [eq for _, eq in lanes])
+    assert batch.delta.shape == (len(lanes), batch.n_samples, bundled_case.n_generators)
+    assert batch.pm.shape == (len(lanes), bundled_case.n_generators)
+    assert np.array_equal(first_bad, np.full(len(lanes), batch.n_samples))
+    for b, (scenario, eq) in enumerate(lanes):
+        _assert_same_trajectory(batch.lanes(b), simulate(bundled_case, scenario, eq))
 
 
 def test_batch_masks_a_diverged_lane(bundled_case, small_plan_lanes):
     scenarios = [s for s, _ in small_plan_lanes]
     equilibria = [eq for _, eq in small_plan_lanes]
-    clean = simulate_batch(bundled_case, scenarios, equilibria)
+    clean, _ = simulate_batch(bundled_case, scenarios, equilibria)
     poisoned = dataclasses.replace(equilibria[3], delta0=np.array([np.nan, 0.0, 0.0]))
-    mixed = simulate_batch(
+    mixed, first_bad = simulate_batch(
         bundled_case, scenarios[:3] + [scenarios[3]] + scenarios[3:],
         equilibria[:3] + [poisoned] + equilibria[3:],
     )
-    assert isinstance(mixed[3], IntegrationDivergedError)
-    assert mixed[3].last_finite_index == -1
-    for traj, ref in zip(mixed[:3] + mixed[4:], clean):
-        _assert_same_trajectory(traj, ref)
+    assert first_bad[3] == 0
+    others = np.arange(len(first_bad)) != 3
+    assert np.all(first_bad[others] == mixed.n_samples)
+    _assert_same_trajectory(mixed.lanes(others), clean)
 
 
 def test_batch_reports_a_lane_that_overflows_mid_run(bundled_case, small_plan_lanes):
     # A finite start whose acceleration overflows in the first RK4 step:
-    # sample 0 is the last finite one.  The overflow must neither warn nor
-    # touch the other lanes.
+    # sample 1 is the first non-finite one.  The overflow must neither warn
+    # nor touch the other lanes.
     scenarios = [s for s, _ in small_plan_lanes]
     equilibria = [eq for _, eq in small_plan_lanes]
-    clean = simulate_batch(bundled_case, scenarios, equilibria)
+    clean, _ = simulate_batch(bundled_case, scenarios, equilibria)
     equilibria[3] = dataclasses.replace(equilibria[3], pm=np.array([1e308, 0.0, -1e308]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mixed = simulate_batch(bundled_case, scenarios, equilibria)
-    assert isinstance(mixed[3], IntegrationDivergedError)
-    assert mixed[3].last_finite_index == 0
-    for traj, ref in zip(mixed[:3] + mixed[4:], clean[:3] + clean[4:]):
-        _assert_same_trajectory(traj, ref)
+        mixed, first_bad = simulate_batch(bundled_case, scenarios, equilibria)
+    assert first_bad[3] == 1
+    others = np.arange(len(first_bad)) != 3
+    assert np.all(first_bad[others] == mixed.n_samples)
+    _assert_same_trajectory(mixed.lanes(others), clean.lanes(others))
+
+
+def test_batched_labels_noise_and_features_equal_per_lane_calls(bundled_case, small_plan_lanes):
+    # One call over every lane gives the bytes of one call per lane.
+    batch, _ = simulate_batch(
+        bundled_case, [s for s, _ in small_plan_lanes], [eq for _, eq in small_plan_lanes]
+    )
+    seeds = list(range(100, 100 + len(small_plan_lanes)))
+    labels = label(batch)
+    noisy = inject_noise(batch, 0.02, seeds)
+    rows = extract_features(batch)
+    noisy_rows = extract_features(noisy)
+    for b, seed in enumerate(seeds):
+        lone = batch.lanes(b)
+        lone_label = label(lone)
+        assert labels.value[b] == lone_label.value
+        assert labels.max_spread_deg[b].tobytes() == lone_label.max_spread_deg.tobytes()
+        assert rows[b].tobytes() == extract_features(lone).tobytes()
+        lone_noisy = inject_noise(lone, 0.02, seed)
+        for name in ("delta", "omega_dev", "pe"):
+            assert getattr(noisy, name)[b].tobytes() == getattr(lone_noisy, name).tobytes()
+        assert noisy_rows[b].tobytes() == extract_features(lone_noisy).tobytes()
+    with pytest.raises(InvalidArgumentError, match="one noise seed per lane"):
+        inject_noise(batch, 0.02, seeds[:-1])
 
 
 def test_batch_rejects_mixed_timing_and_bad_shapes(bundled_case, bundled_equilibrium):
