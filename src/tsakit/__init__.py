@@ -20,6 +20,7 @@ from .network import (
     power_tables,
     reduce_to_generators,
     solve_equilibrium,
+    solve_equilibrium_batch,
 )
 from .simulator import (
     Scenario,

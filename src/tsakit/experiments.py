@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, require_count
 from .features import Standardizer, subset_columns
 from .kb import KnowledgeBase, Split, split as make_split
 from .kernels import GAUSSIAN, KIND_CODES, CODE_OF_KIND, KernelSpec, base_gram, median_width
@@ -145,6 +145,7 @@ def metrics(y_true: np.ndarray, y_pred: np.ndarray) -> dict:
 
 def split_stream(seed: int) -> np.random.SeedSequence:
     """The run seed's first child stream; every scheme splits the rows from it."""
+    require_count(seed, "seed", minimum=0)
     return np.random.SeedSequence(int(seed)).spawn(1)[0]
 
 

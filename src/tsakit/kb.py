@@ -9,7 +9,8 @@ counter scheme: scenario number `k` dispatches with the stream seeded by
 (master_seed, k, 0) and, when measurement noise is requested, perturbs
 its channels with the stream seeded by (master_seed, k, 1).
 
-Solved cells are integrated as the lanes of one batched trajectory, whose
+Every cell's equilibrium is a lane of one batched Newton solve.  Solved
+cells are integrated as the lanes of one batched trajectory, whose
 labels, noise and features fill plan-order arrays; a lane that went
 non-finite is discarded like a cell whose equilibrium has no solution.
 """
@@ -24,7 +25,6 @@ import numpy as np
 
 from .errors import (
     DegenerateKnowledgeBaseError,
-    EquilibriumFailureError,
     FormatError,
     InvalidArgumentError,
     json_real,
@@ -33,7 +33,8 @@ from .errors import (
     require_count,
 )
 from .features import FEATURE_NAMES, extract_features
-from .network import NetworkCase, reduce_to_generators, solve_equilibrium
+from .network import NetworkCase, reduce_to_generators, solve_equilibrium_batch
+from .network import solve_equilibrium  # noqa: F401  (wrapped by bench/tracing.py)
 from .simulator import Scenario, Trajectory, label, simulate_batch
 from .simulator import simulate  # noqa: F401  (wrapped by bench/tracing.py)
 
@@ -83,6 +84,7 @@ class ScenarioPlan:
             raise InvalidArgumentError("load levels must differ at two decimals")
         require_count(self.dispatches_per_level, "dispatches_per_level")
         require_count(self.fault_clearing_cycles, "fault_clearing_cycles")
+        require_count(self.master_seed, "master_seed", minimum=0)
 
     @property
     def n_planned(self) -> int:
@@ -137,6 +139,7 @@ def _stream_seed(master_seed: int, counter: int, stream: int) -> int:
 
 def dispatch_shares(n_generators: int, dispatch_seed: int) -> np.ndarray:
     """Dirichlet share of total demand assigned to each machine."""
+    require_count(dispatch_seed, "dispatch_seed", minimum=0)
     rng = np.random.default_rng(dispatch_seed)
     return rng.dirichlet(np.full(n_generators, DISPATCH_CONCENTRATION))
 
@@ -173,33 +176,6 @@ def inject_noise(trajectory: Trajectory, max_rel_error: float, seed) -> Trajecto
     return replace(trajectory, **{name: getattr(trajectory, name) * f for name, f in noisy})
 
 
-def _solve_cells(case: NetworkCase, plan: ScenarioPlan) -> list:
-    """(counter, scenario id, scenario, equilibrium) of every cell, in plan order.
-
-    The equilibrium is None where it cannot be solved.  The intact network
-    is reduced once per load level.
-    """
-    intact = {}
-    cells = []
-    for counter, level, di, bus in plan.cells():
-        dispatch_seed = _stream_seed(plan.master_seed, counter, 0)
-        scenario = Scenario(
-            load_scale=level,
-            dispatch_seed=dispatch_seed,
-            fault_bus=bus,
-            fault_clearing_cycles=plan.fault_clearing_cycles,
-            observation_horizon_s=plan.observation_horizon_s,
-        )
-        if level not in intact:
-            intact[level] = reduce_to_generators(case, level)
-        try:
-            eq = solve_equilibrium(case, intact[level], dispatch_pm(case, level, dispatch_seed))
-        except EquilibriumFailureError:
-            eq = None
-        cells.append((counter, f"lv{level:.2f}/d{di}/b{bus}", scenario, eq))
-    return cells
-
-
 def generate_kb(
     case: NetworkCase,
     plan: ScenarioPlan,
@@ -221,19 +197,36 @@ def generate_kb(
     if case.total_load_p <= 0:
         raise InvalidArgumentError("case carries no active load to dispatch")
 
-    cells = _solve_cells(case, plan)
+    # Plan-order arrays: cell k is scenario k, dispatched from stream (master, k, 0).
+    ids, scenarios = [], []
+    for counter, level, di, bus in plan.cells():
+        ids.append(f"lv{level:.2f}/d{di}/b{bus}")
+        scenarios.append(
+            Scenario(
+                load_scale=level,
+                dispatch_seed=_stream_seed(plan.master_seed, counter, 0),
+                fault_bus=bus,
+                fault_clearing_cycles=plan.fault_clearing_cycles,
+                observation_horizon_s=plan.observation_horizon_s,
+            )
+        )
+    intact = {level: reduce_to_generators(case, level) for level in plan.load_levels}
+    pm = np.stack([dispatch_pm(case, s.load_scale, s.dispatch_seed) for s in scenarios])
+    reduced = np.stack([intact[s.load_scale] for s in scenarios])
+    equilibrium, _, failures = solve_equilibrium_batch(case, reduced, pm)
 
     # Integrate the solved cells in batches and fill plan-order arrays; a
     # diverged lane is dropped from its batch and stays unfilled.
-    solved = [cell for cell in cells if cell[3] is not None]
-    kept = np.zeros(len(cells), dtype=bool)
-    rows = np.empty((len(cells), len(FEATURE_NAMES)))
-    labels = np.empty(len(cells), dtype=int)
+    solved = np.flatnonzero([f is None for f in failures])
+    kept = np.zeros(len(scenarios), dtype=bool)
+    rows = np.empty((len(scenarios), len(FEATURE_NAMES)))
+    labels = np.empty(len(scenarios), dtype=int)
     for start in range(0, len(solved), BATCH_CELLS):
         batch = solved[start : start + BATCH_CELLS]
-        trajectory, first_bad = simulate_batch(case, [c[2] for c in batch], [c[3] for c in batch])
+        batch_scenarios = [scenarios[k] for k in batch]
+        trajectory, first_bad = simulate_batch(case, batch_scenarios, equilibrium.lanes(batch))
         finite = first_bad == trajectory.n_samples
-        counters = np.array([c[0] for c in batch])[finite]
+        counters = batch[finite]
         if not finite.all():
             trajectory = trajectory.lanes(finite)
         kept[counters] = True
@@ -244,8 +237,7 @@ def generate_kb(
         rows[counters] = extract_features(trajectory)
 
     labels = labels[kept]
-    ids = [cell[1] for cell, ok in zip(cells, kept) if ok]
-    discarded = [cell[1] for cell, ok in zip(cells, kept) if not ok]
+    discarded = [sid for sid, ok in zip(ids, kept) if not ok]
     if len(discarded) > DISCARD_LIMIT * plan.n_planned:
         raise DegenerateKnowledgeBaseError(
             f"{len(discarded)} of {plan.n_planned} scenarios were discarded; "
@@ -261,7 +253,7 @@ def generate_kb(
         plan=plan,
         feature_matrix=rows[kept],
         labels=labels,
-        ids=tuple(ids),
+        ids=tuple(sid for sid, ok in zip(ids, kept) if ok),
         noise_max_rel_error=noise_max_rel_error,
         discarded=tuple(discarded),
     )

@@ -7,7 +7,9 @@ the generator internal nodes by Kron elimination.  Electrical power at
 the internal nodes then depends on rotor angles only, which is what the
 swing integrator consumes.  With u = exp(j delta) and one complex table
 T_ij = E_i E_j conj(Y_ij) per network, Pe = Re(u * (T conj(u))), and the
-imaginary part of the same product gives the Newton Jacobian.
+imaginary part of the same product gives the Newton Jacobian.  One Newton
+loop balances many dispatches as the lanes of a batched Equilibrium;
+`solve_equilibrium` is its one-lane case.
 """
 
 from __future__ import annotations
@@ -152,11 +154,17 @@ class Equilibrium:
     """Steady state: rotor angles plus the matched mechanical injections.
 
     `network` is the reduced admittance the injections were balanced on.
+    A batch of lanes puts the lane axis first: `delta0` and `pm` are
+    (n_lanes, n_gen) and `network` is (n_lanes, n_gen, n_gen).
     """
 
     delta0: np.ndarray
     pm: np.ndarray
     network: np.ndarray  # complex, (n_gen, n_gen)
+
+    def lanes(self, index) -> "Equilibrium":
+        """Lanes of a batch, indexed like its arrays; None makes a lone one a one-lane batch."""
+        return Equilibrium(self.delta0[index], self.pm[index], self.network[index])
 
 
 def fold_loads(case: NetworkCase, load_scale: float = 1.0) -> np.ndarray:
@@ -252,12 +260,15 @@ def reduce_to_generators(
 
 
 def power_tables(reduced: np.ndarray, emf: np.ndarray) -> np.ndarray:
-    """The complex table T_ij = E_i E_j conj(Y_ij) that `electrical_power` reads."""
+    """The complex table T_ij = E_i E_j conj(Y_ij) that `electrical_power` reads.
+
+    Leading axes of `reduced` are lanes, each with its own table.
+    """
     reduced = np.asarray(reduced)
     emf = np.asarray(emf, dtype=float)
-    if reduced.ndim != 2 or reduced.shape[0] != reduced.shape[1]:
+    if reduced.ndim < 2 or reduced.shape[-1] != reduced.shape[-2]:
         raise InvalidArgumentError("reduced admittance must be square")
-    if emf.shape != (reduced.shape[0],):
+    if emf.shape != reduced.shape[-1:]:
         raise InvalidArgumentError("emf must hold one entry per reduced-network node")
     return np.outer(emf, emf) * reduced.conj()
 
@@ -291,12 +302,96 @@ def _power(delta: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 def _power_jacobian(delta: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """d Pe_i / d delta_j: Im(u_i T_ij conj(u_j)) off the diagonal, minus the row sum on it."""
+    """d Pe_i / d delta_j: Im(u_i T_ij conj(u_j)) off the diagonal, minus the row sum on it.
+
+    Angles (..., n) take tables (..., n, n), one Jacobian per lane.
+    """
     u = np.exp(1j * delta)
-    jac = (u[:, None] * table * u.conj()).imag
-    np.fill_diagonal(jac, 0.0)
-    np.fill_diagonal(jac, -jac.sum(axis=1))
+    jac = (u[..., :, None] * table * u.conj()[..., None, :]).imag
+    diagonal = np.arange(delta.shape[-1])
+    jac[..., diagonal, diagonal] = 0.0
+    jac[..., diagonal, diagonal] = -jac.sum(axis=-1)
     return jac
+
+
+def solve_equilibrium_batch(case: NetworkCase, reduced: np.ndarray, pm: np.ndarray) -> tuple:
+    """Locate the pre-fault operating points of many dispatches in one Newton loop.
+
+    Lane b balances `pm[b]` (shape (n_lanes, n_gen)) on `reduced[b]` (shape
+    (n_lanes, n_gen, n_gen)).  The first generator is the angle reference
+    (delta_1 = 0) and the slack: Newton iteration drives Pe_i = Pm_i for
+    the remaining machines and the first machine's Pm is then set to its
+    realised Pe, absorbing network losses, so the injections balance
+    exactly.  Per-lane masks stop, polish and backtrack each lane as if it
+    ran alone, and lanes never mix, so every lane's result is the same
+    whichever other lanes share the batch.
+
+    Returns (equilibrium, residual, failures): one batched Equilibrium,
+    each lane's final max-norm mismatch, and each lane's failure message,
+    None where the lane solved.  A failed lane holds its last iterate.
+    """
+    network = np.asarray(reduced)
+    pm = np.asarray(pm, dtype=float)
+    n = case.n_generators
+    if pm.shape[1:] != (n,) or network.shape != pm.shape + (n,):
+        raise InvalidArgumentError("pm must have one entry per generator, on one network per lane")
+    table = power_tables(network, case.emf)
+    delta = np.zeros(pm.shape)
+    mismatch = _power(delta, table)[:, 1:] - pm[:, 1:]
+    residual = np.abs(mismatch).max(axis=1, initial=0.0)
+    converged = residual < NEWTON_TOL
+    # Once inside tolerance, a couple of extra quadratic steps pin the fixed
+    # point near machine precision; otherwise its leftover net power drives a
+    # slow common-mode drift over long integrations.
+    polish_left = np.full(len(pm), 2)
+    live = np.ones(len(pm), dtype=bool)
+    failures = [None] * len(pm)
+
+    def fail(lanes, message):
+        live[lanes] = False
+        for b in lanes:
+            failures[b] = message.format(residual[b])
+
+    for _ in range(MAX_NEWTON_ITERS):
+        live &= ~(converged & ((polish_left == 0) | (residual < 1e-13)))
+        lanes = np.flatnonzero(live)
+        if not lanes.size:
+            break
+        polish_left[lanes] -= converged[lanes]
+        jac = _power_jacobian(delta[lanes], table[lanes])[:, 1:, 1:]
+        # slogdet runs the solve's LU factorisation: a zero sign is the zero
+        # pivot that would make the solve raise, and fails only its lane.
+        regular = np.linalg.slogdet(jac)[0] != 0
+        fail(lanes[~regular], "singular power-flow Jacobian (residual {:.3e})")
+        lanes, jac = lanes[regular], jac[regular]
+        step = np.linalg.solve(jac, mismatch[lanes, :, None])[..., 0]
+        # Backtrack on steps that worsen the residual; plain Newton is too
+        # brash near the loadability edge.  All six scales (1, 1/2, ...,
+        # 1/32) are tried at once; a lane takes its first improving one,
+        # else the last.
+        scales = 0.5 ** np.arange(6.0)[:, None, None]
+        trials = np.repeat(delta[None, lanes], len(scales), axis=0)
+        trials[..., 1:] -= scales * step
+        trial_mismatch = _power(trials, table[lanes])[..., 1:] - pm[lanes, 1:]
+        trial_residual = np.abs(trial_mismatch).max(axis=-1, initial=0.0)
+        better = np.isfinite(trial_residual) & (trial_residual < residual[lanes])
+        improved = better.any(axis=0)
+        floor = converged[lanes] & ~improved  # already at the floating-point floor
+        live[lanes[floor]] = False
+        pick = np.where(improved, better.argmax(axis=0), len(scales) - 1)[~floor]
+        lanes, cols = lanes[~floor], np.flatnonzero(~floor)
+        delta[lanes] = trials[pick, cols]
+        mismatch[lanes] = trial_mismatch[pick, cols]
+        residual[lanes] = trial_residual[pick, cols]
+        fail(lanes[~np.isfinite(delta[lanes]).all(axis=1)], "Newton step left the finite domain")
+        converged[lanes] |= residual[lanes] < NEWTON_TOL
+    message = f"no convergence after {MAX_NEWTON_ITERS} Newton iterations (residual {{:.3e}})"
+    fail(np.flatnonzero(live & ~converged), message)
+
+    solved = np.array([f is None for f in failures])
+    pm_out = pm.copy()
+    pm_out[solved, 0] = _power(delta[solved], table[solved])[:, 0]
+    return Equilibrium(delta0=delta, pm=pm_out, network=network), residual, tuple(failures)
 
 
 def solve_equilibrium(
@@ -306,72 +401,15 @@ def solve_equilibrium(
 ) -> Equilibrium:
     """Locate the pre-fault operating point for a mechanical dispatch.
 
-    The first generator is the angle reference (delta_1 = 0) and the slack:
-    Newton iteration drives Pe_i = Pm_i for the remaining machines and the
-    first machine's Pm is then set to its realised Pe, absorbing network
-    losses.  The returned injections therefore balance exactly.
+    The one-lane case of `solve_equilibrium_batch`; raises
+    EquilibriumFailureError, carrying the residual, where it fails.
     """
-    pm = np.asarray(pm, dtype=float)
-    n = case.n_generators
-    if pm.shape != (n,):
-        raise InvalidArgumentError("pm must have one entry per generator")
-    table = power_tables(reduced, case.emf)
-
-    def mismatch_at(d):
-        return electrical_power(d, table)[1:] - pm[1:]
-
-    delta = np.zeros(n)
-    mismatch = mismatch_at(delta)
-    residual = float(np.max(np.abs(mismatch))) if n > 1 else 0.0
-    converged = residual < NEWTON_TOL
-    # Once inside tolerance, a couple of extra quadratic steps pin the fixed
-    # point near machine precision; otherwise its leftover net power drives a
-    # slow common-mode drift over long integrations.
-    polish_left = 2
-    for _ in range(MAX_NEWTON_ITERS):
-        if converged and (polish_left == 0 or residual < 1e-13):
-            break
-        if converged:
-            polish_left -= 1
-        jac = _power_jacobian(delta, table)[1:, 1:]
-        try:
-            step = np.linalg.solve(jac, mismatch)
-        except np.linalg.LinAlgError as exc:
-            raise EquilibriumFailureError(
-                f"singular power-flow Jacobian (residual {residual:.3e})",
-                residual=residual,
-            ) from exc
-        # Backtrack on steps that worsen the residual; plain Newton is too
-        # brash near the loadability edge.
-        scale = 1.0
-        improved = False
-        for _ in range(6):
-            trial = delta.copy()
-            trial[1:] -= scale * step
-            trial_mismatch = mismatch_at(trial)
-            trial_residual = float(np.max(np.abs(trial_mismatch)))
-            if np.isfinite(trial_residual) and trial_residual < residual:
-                improved = True
-                break
-            scale *= 0.5
-        if converged and not improved:
-            break  # already at the floating-point floor
-        delta, mismatch, residual = trial, trial_mismatch, trial_residual
-        if not np.all(np.isfinite(delta)):
-            raise EquilibriumFailureError(
-                "Newton step left the finite domain", residual=residual
-            )
-        converged = converged or residual < NEWTON_TOL
-    if not converged:
-        raise EquilibriumFailureError(
-            f"no convergence after {MAX_NEWTON_ITERS} Newton iterations "
-            f"(residual {residual:.3e})",
-            residual=residual,
-        )
-
-    pm_out = pm.copy()
-    pm_out[0] = electrical_power(delta, table)[0]
-    return Equilibrium(delta0=delta, pm=pm_out, network=reduced)
+    equilibrium, residual, (failure,) = solve_equilibrium_batch(
+        case, np.asarray(reduced)[None], np.asarray(pm)[None]
+    )
+    if failure is not None:
+        raise EquilibriumFailureError(failure, residual=float(residual[0]))
+    return equilibrium.lanes(0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ is one complex power table per scenario (`network.power_tables`), which
 every RK4 stage evaluates with the formula of `network.electrical_power`.
 One RK4 loop serves both entry points: `simulate_batch` advances many
 scenarios of a case side by side as lanes of one array, and `simulate` is
-its one-lane case.  A batched Trajectory leads every series with the lane
-axis, and `label` reads a lone trajectory or every lane of a batch at once.
+its one-lane case.  Lanes start from the lanes of one batched Equilibrium
+(`network.solve_equilibrium_batch`).  A batched Trajectory leads every
+series with the lane axis, and `label` reads a lone trajectory or every
+lane of a batch at once.
 
 The loop's cost is numpy's per-call dispatch on a few elements per lane,
 so it makes as few calls as it can without changing a bit: the step
@@ -120,7 +122,7 @@ class StabilityLabel:
     max_spread_deg: float
 
 
-def _segment_tables(case: NetworkCase, scenarios, equilibria):
+def _segment_tables(case: NetworkCase, scenarios, equilibrium: Equilibrium):
     """Pre-fault and fault-on `power_tables`, stacked over lanes.
 
     Each stack has shape (n_lanes, n_gen, n_gen).  A lane's intact network
@@ -129,21 +131,20 @@ def _segment_tables(case: NetworkCase, scenarios, equilibria):
     scale and faulted per (load scale, fault bus), is reduced once.
     """
     reduced = {}
-    fault_nets = []
-    for scenario, eq in zip(scenarios, equilibria):
+    for scenario in scenarios:
         for bus in (None, scenario.fault_bus):
             if (scenario.load_scale, bus) not in reduced:
                 reduced[scenario.load_scale, bus] = reduce_to_generators(
                     case, scenario.load_scale, fault_bus=bus
                 )
-        if not np.array_equal(eq.network, reduced[scenario.load_scale, None]):
-            raise InvalidArgumentError(
-                f"equilibrium was not solved at load scale {scenario.load_scale!r}"
-            )
-        fault_nets.append(reduced[scenario.load_scale, scenario.fault_bus])
-
-    pre = [power_tables(eq.network, case.emf) for eq in equilibria]
-    return np.stack(pre), np.stack([power_tables(net, case.emf) for net in fault_nets])
+    intact = np.stack([reduced[s.load_scale, None] for s in scenarios])
+    other = (equilibrium.network != intact).any(axis=(1, 2))
+    if other.any():
+        raise InvalidArgumentError(
+            f"equilibrium was not solved at load scale {scenarios[other.argmax()].load_scale!r}"
+        )
+    fault = np.stack([reduced[s.load_scale, s.fault_bus] for s in scenarios])
+    return power_tables(equilibrium.network, case.emf), power_tables(fault, case.emf)
 
 
 def simulate(
@@ -159,7 +160,7 @@ def simulate(
     scale (InvalidArgumentError otherwise).  Raises IntegrationDivergedError
     on a non-finite state.
     """
-    batch, (bad,) = simulate_batch(case, [scenario], [equilibrium], substeps_per_cycle)
+    batch, (bad,) = simulate_batch(case, [scenario], equilibrium.lanes(None), substeps_per_cycle)
     if bad < batch.n_samples:
         message = f"non-finite rotor state at sample {bad}"
         raise IntegrationDivergedError(message, last_finite_index=int(bad) - 1)
@@ -169,14 +170,15 @@ def simulate(
 def simulate_batch(
     case: NetworkCase,
     scenarios,
-    equilibria,
+    equilibrium: Equilibrium,
     substeps_per_cycle: int = SUBSTEPS_PER_CYCLE,
 ) -> tuple:
     """Integrate many scenarios of one case in a single vectorised RK4 pass.
 
-    Lane b runs `scenarios[b]` from `equilibria[b]`.  Lanes never mix, so
-    each lane equals its own `simulate` call bit for bit.  The scenarios
-    must share the clearing time and the observation horizon.
+    Lane b runs `scenarios[b]` from lane b of the batched `equilibrium`.
+    Lanes never mix, so each lane equals its own `simulate` call bit for
+    bit.  The scenarios must share the clearing time and the observation
+    horizon.
 
     Returns (trajectory, first_bad): one batched Trajectory whose series
     lead with the lane axis, and each lane's first sample with a non-finite
@@ -184,12 +186,10 @@ def simulate_batch(
     is elementwise per lane, so a non-finite value stays in its lane and
     leaves the others untouched.
     """
-    scenarios, equilibria = list(scenarios), list(equilibria)
+    scenarios = list(scenarios)
     require_count(substeps_per_cycle, "substeps_per_cycle")
     if not scenarios:
         raise InvalidArgumentError("a batch needs at least one scenario")
-    if len(equilibria) != len(scenarios):
-        raise InvalidArgumentError("a batch needs one equilibrium per scenario")
     first = scenarios[0]
     if any(
         s.fault_clearing_cycles != first.fault_clearing_cycles
@@ -199,10 +199,10 @@ def simulate_batch(
         raise InvalidArgumentError("scenarios in one batch must share clearing time and horizon")
     freq = case.base_frequency_hz
     n_gen = case.n_generators
-    if any(eq.delta0.shape != (n_gen,) for eq in equilibria):
-        raise InvalidArgumentError("equilibrium does not match the case")
-
     n_lanes = len(scenarios)
+    shapes = [np.shape(a) for a in (equilibrium.delta0, equilibrium.pm, equilibrium.network)]
+    if shapes != [(n_lanes, n_gen)] * 2 + [(n_lanes, n_gen, n_gen)]:
+        raise InvalidArgumentError("a batch needs one equilibrium lane per scenario, on the case")
     cycles = first.observation_horizon_s * freq
     try:  # each sampled series is one (B, n_samples, n) float array
         n_samples = int(round(cycles)) + 1
@@ -219,8 +219,8 @@ def simulate_batch(
             "observation horizon ends before the fault is cleared and observed"
         )
 
-    pre, fault = _segment_tables(case, scenarios, equilibria)
-    pm = np.stack([eq.pm for eq in equilibria])
+    pre, fault = _segment_tables(case, scenarios, equilibrium)
+    pm = np.array(equilibrium.pm, dtype=float)
     # Constants tiled to (B, n): same-shape operands spare numpy its
     # broadcasting and Python-float overhead, and keep every product's bits.
     minv = np.tile(1.0 / case.inertia, (n_lanes, 1))
@@ -229,7 +229,7 @@ def simulate_batch(
     half_h, full_h, sixth_h, two = (
         np.full((n_lanes, n_gen), c) for c in (0.5 * h, h, h / 6.0, 2.0)
     )
-    d = np.stack([eq.delta0 for eq in equilibria])
+    d = equilibrium.delta0
     w = np.zeros((n_lanes, n_gen))
 
     # A lane that overflows runs on as inf/nan; it is found after the loop.

@@ -474,6 +474,7 @@ def test_cli_refuses_kb_with_non_finite_feature(command, kb_file, model_file, tm
         ("kb", b'"dispatches_per_level":3', b'"dispatches_per_level":3.9'),
         ("kb", b'"fault_clearing_cycles":5', b'"fault_clearing_cycles":5.7'),
         ("kb", b'"master_seed":0', b'"master_seed":0.5'),
+        ("kb", b'"master_seed":0', b'"master_seed":-1'),
         ("model", b'"degree":2', b'"degree":2.7'),
         ("model", b'"class_labels":[1,-1]', b'"class_labels":[1.4,-1.2]'),
         ("model", b'"converged":true', b'"converged":"no"'),
@@ -483,7 +484,7 @@ def test_cli_refuses_kb_with_non_finite_feature(command, kb_file, model_file, tm
         "model-degree", "model-beta", "model-not-utf8", "rows-not-utf8", "case-not-utf8",
         "traj-field", "traj-not-utf8", "kb-plan-overflow", "case-bus-inf", "case-bus-nan",
         "case-bus-fraction", "case-inertia-nan", "kb-label-fraction", "kb-label-bool",
-        "kb-dispatches-fraction", "kb-clearing-fraction", "kb-seed-fraction",
+        "kb-dispatches-fraction", "kb-clearing-fraction", "kb-seed-fraction", "kb-seed-negative",
         "model-degree-fraction", "model-labels-fraction", "model-converged-string",
     ],
 )

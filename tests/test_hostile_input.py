@@ -170,6 +170,27 @@ def test_absurd_horizon_is_bad_input(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+# numpy seeds its generators from non-negative integers only; a negative
+# seed is refused where it enters, not deep inside numpy.
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["gen-kb", "--seed", "-1"], "master_seed"),
+        (["simulate", "--fault-bus", "7", "--dispatch-seed", "-1"], "dispatch_seed"),
+        (["train", "--train-size", "8", "--seed", "-1"], "seed"),
+        (["sweep", "--train-size", "8", "--seeds", "1", "--seed-base", "-1"], "seed"),
+    ],
+    ids=["gen-kb", "simulate", "train", "sweep"],
+)
+def test_negative_seed_is_bad_input(tmp_path, capsys, argv, what):
+    out = tmp_path / "out.txt"
+    if argv[0] in ("train", "sweep"):
+        argv = argv + ["--kb", str(DATA_DIR / "small_kb_reference.txt")]
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {what} must be at least 0\n"
+    assert not out.exists()
+
+
 # A horizon numpy could index but memory cannot hold: the series allocation
 # fails and is refused as bad input.  Run only under a capped address space,
 # since a host that overcommits memory could grant the allocation and touch it.

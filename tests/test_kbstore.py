@@ -2,7 +2,6 @@
 
 import dataclasses
 import hashlib
-import itertools
 import json
 import warnings
 
@@ -13,6 +12,7 @@ from numpy.testing import assert_allclose
 from tsakit import kb as kbmod
 from tsakit.errors import (
     DegenerateKnowledgeBaseError,
+    EquilibriumFailureError,
     FormatError,
     InvalidArgumentError,
 )
@@ -30,6 +30,7 @@ from tsakit.kb import (
     save_kb,
     split,
 )
+from tsakit.network import reduce_to_generators, solve_equilibrium, solve_equilibrium_batch
 
 
 # --- Plans --------------------------------------------------------------------
@@ -196,15 +197,15 @@ def test_discarded_cells_are_accounted_for(bundled_case):
 
 def _poison_cell(monkeypatch, position):
     """Give plan cell `position` an equilibrium that overflows in its first RK4 step."""
-    real = kbmod.solve_equilibrium
-    calls = itertools.count()
+    real = kbmod.solve_equilibrium_batch
 
     def solve(*args):
-        hit = next(calls) == position  # one call per cell, in plan order
-        eq = real(*args)
-        return dataclasses.replace(eq, pm=np.array([1e308, 0.0, -1e308])) if hit else eq
+        equilibrium, residual, failures = real(*args)  # one lane per cell, in plan order
+        pm = equilibrium.pm.copy()
+        pm[position] = [1e308, 0.0, -1e308]
+        return dataclasses.replace(equilibrium, pm=pm), residual, failures
 
-    monkeypatch.setattr(kbmod, "solve_equilibrium", solve)
+    monkeypatch.setattr(kbmod, "solve_equilibrium_batch", solve)
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.01])
@@ -231,6 +232,31 @@ def test_a_diverged_cell_is_discarded_in_plan_order(bundled_case, monkeypatch, n
     assert kb.feature_matrix.tobytes() == clean.feature_matrix[keep].tobytes()
     assert kb.labels.tobytes() == clean.labels[keep].tobytes()
     assert kb.noise_max_rel_error == noise
+
+
+@pytest.mark.parametrize("order", ["plan", "reversed"])
+def test_equilibrium_lanes_equal_lone_solves(bundled_case, order):
+    # The plan of test_discarded_cells_are_accounted_for: lv1.30/d0/b4 has no
+    # equilibrium.  Each lane of the batched solve is its lone solve, bytes
+    # and failure alike, whatever its neighbours.
+    plan = ScenarioPlan(
+        fault_buses=(4, 7, 9), load_levels=(0.95, 1.15, 1.30), dispatches_per_level=2
+    )
+    cells = [(level, kbmod._stream_seed(0, k, 0)) for k, level, _, _ in plan.cells()]
+    cells = cells if order == "plan" else cells[::-1]
+    reduced = np.stack([reduce_to_generators(bundled_case, level) for level, _ in cells])
+    pm = np.stack([kbmod.dispatch_pm(bundled_case, level, seed) for level, seed in cells])
+    batch, residual, failures = solve_equilibrium_batch(bundled_case, reduced, pm)
+    assert sum(f is not None for f in failures) == 1
+    for b in range(len(cells)):
+        try:
+            lone = solve_equilibrium(bundled_case, reduced[b], pm[b])
+        except EquilibriumFailureError as exc:
+            assert (failures[b], residual[b]) == (str(exc), exc.residual)
+            continue
+        assert failures[b] is None
+        assert batch.lanes(b).delta0.tobytes() == lone.delta0.tobytes()
+        assert batch.lanes(b).pm.tobytes() == lone.pm.tobytes()
 
 
 def test_generation_rejects_bad_noise(bundled_case, small_plan):

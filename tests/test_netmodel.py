@@ -1,5 +1,6 @@
 """Network model: folding, Kron reduction, air-gap power, equilibrium."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,8 @@ from tsakit.errors import (
     ReductionSingularError,
 )
 from tsakit.network import (
+    MAX_NEWTON_ITERS,
+    NEWTON_TOL,
     Branch,
     Bus,
     Generator,
@@ -29,6 +32,7 @@ from tsakit.network import (
     reduce_to_generators,
     _power_jacobian,
     solve_equilibrium,
+    solve_equilibrium_batch,
 )
 
 # --- Kron reduction ---------------------------------------------------------
@@ -314,6 +318,106 @@ def test_equilibrium_beyond_loadability_fails(pair_case):
     assert excinfo.value.residual > 0
 
 
+@pytest.mark.parametrize("position", [0, 1])
+def test_a_singular_lane_fails_alone(pair_case, position):
+    # Two islanded machines reduce to a zero network: no power flows, so the
+    # mismatch stays 0.5 and the Jacobian is zero.  Stacked with the pair's
+    # network, only that lane fails; the other is its lone solve.
+    zero = reduce_to_generators(dataclasses.replace(pair_case, branches=()))
+    assert not zero.any()
+    pm = np.array([0.5, -0.5])
+    with pytest.raises(EquilibriumFailureError, match="singular") as excinfo:
+        solve_equilibrium(pair_case, zero, pm)
+    assert excinfo.value.residual == 0.5
+    tied = reduce_to_generators(pair_case)
+    networks = [tied, tied]
+    networks[position] = zero
+    batch, residual, failures = solve_equilibrium_batch(
+        pair_case, np.stack(networks), np.stack([pm, pm])
+    )
+    assert failures[position] == str(excinfo.value) and residual[position] == 0.5
+    lone = solve_equilibrium(pair_case, tied, pm)
+    other = batch.lanes(1 - position)
+    assert failures[1 - position] is None
+    assert other.delta0.tobytes() == lone.delta0.tobytes()
+    assert other.pm.tobytes() == lone.pm.tobytes()
+
+
+def _reference_newton(case, reduced, pm):
+    """The per-dispatch Newton loop that the batched solve replaced, kept as
+    its oracle: (delta0, pm) of a solved dispatch, else the failure message."""
+    table = power_tables(reduced, case.emf)
+
+    def mismatch_at(d):
+        return electrical_power(d, table)[1:] - pm[1:]
+
+    delta = np.zeros(len(pm))
+    mismatch = mismatch_at(delta)
+    residual = float(np.max(np.abs(mismatch)))
+    converged = residual < NEWTON_TOL
+    polish_left = 2
+    for _ in range(MAX_NEWTON_ITERS):
+        if converged and (polish_left == 0 or residual < 1e-13):
+            break
+        if converged:
+            polish_left -= 1
+        u = np.exp(1j * delta)
+        jac = (u[:, None] * table * u.conj()).imag
+        np.fill_diagonal(jac, 0.0)
+        np.fill_diagonal(jac, -jac.sum(axis=1))
+        try:
+            step = np.linalg.solve(jac[1:, 1:], mismatch)
+        except np.linalg.LinAlgError:
+            return f"singular power-flow Jacobian (residual {residual:.3e})"
+        scale = 1.0
+        improved = False
+        for _ in range(6):
+            trial = delta.copy()
+            trial[1:] -= scale * step
+            trial_mismatch = mismatch_at(trial)
+            trial_residual = float(np.max(np.abs(trial_mismatch)))
+            if np.isfinite(trial_residual) and trial_residual < residual:
+                improved = True
+                break
+            scale *= 0.5
+        if converged and not improved:
+            break
+        delta, mismatch, residual = trial, trial_mismatch, trial_residual
+        if not np.all(np.isfinite(delta)):
+            return "Newton step left the finite domain"
+        converged = converged or residual < NEWTON_TOL
+    if not converged:
+        iterations = f"{MAX_NEWTON_ITERS} Newton iterations"
+        return f"no convergence after {iterations} (residual {residual:.3e})"
+    pm_out = pm.copy()
+    pm_out[0] = electrical_power(delta, table)[0]
+    return delta, pm_out
+
+
+@pytest.mark.parametrize("order", ["forward", "reversed"])
+def test_batched_newton_takes_the_per_dispatch_steps(bundled_case, order):
+    # Scaling network and dispatch by 1e4 keeps the angles but lifts the
+    # round-off floor above 1e-13, so lanes end their polishing at the
+    # floor or after both polishing steps; three times the load does not
+    # converge.  Eight lanes each of (gain, load):
+    gain = np.repeat([1e4, 1e4, 1.0, 1.0], 8)
+    load = np.repeat([0.5, 1.0, 1.0, 3.0], 8)
+    shares = np.random.default_rng(0).dirichlet(np.full(3, 8.0), size=32)
+    pm = shares * (bundled_case.total_load_p * gain * load)[:, None]
+    networks = reduce_to_generators(bundled_case) * gain[:, None, None]
+    lanes = np.arange(32) if order == "forward" else np.arange(32)[::-1]
+    batch, _, failures = solve_equilibrium_batch(bundled_case, networks[lanes], pm[lanes])
+    outcomes = [_reference_newton(bundled_case, networks[k], pm[k]) for k in lanes]
+    assert sum(isinstance(out, str) for out in outcomes) == 8
+    for b, out in enumerate(outcomes):
+        if isinstance(out, str):
+            assert failures[b] == out
+            continue
+        assert failures[b] is None
+        assert batch.delta0[b].tobytes() == out[0].tobytes()
+        assert batch.pm[b].tobytes() == out[1].tobytes()
+
+
 def test_equilibrium_rejects_wrong_dispatch_shape(pair_case):
     reduced = reduce_to_generators(pair_case)
     with pytest.raises(InvalidArgumentError):
@@ -324,6 +428,9 @@ def test_equilibrium_rejects_a_reduced_network_of_another_size(pair_case, bundle
     three_machine = reduce_to_generators(bundled_case)
     with pytest.raises(InvalidArgumentError):
         solve_equilibrium(pair_case, three_machine, np.array([0.5, -0.5]))
+    # A batch needs one network per lane, not one shared network.
+    with pytest.raises(InvalidArgumentError, match="one network per lane"):
+        solve_equilibrium_batch(pair_case, reduce_to_generators(pair_case), np.zeros((2, 2)))
 
 
 # --- Case construction and validation ---------------------------------------

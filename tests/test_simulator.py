@@ -11,13 +11,14 @@ from numpy.testing import assert_allclose
 
 from tsakit.errors import IntegrationDivergedError, InvalidArgumentError
 from tsakit.features import extract_features
-from tsakit.kb import _solve_cells, inject_noise
+from tsakit.kb import _stream_seed, dispatch_pm, inject_noise
 from tsakit.network import (
     Equilibrium,
     electrical_power,
     power_tables,
     reduce_to_generators,
     solve_equilibrium,
+    solve_equilibrium_batch,
 )
 from tsakit.simulator import (
     INSTABILITY_THRESHOLD_DEG,
@@ -144,7 +145,7 @@ def test_simulate_refuses_equilibrium_from_another_load_scale(bundled_case, bund
         simulate_batch(
             bundled_case,
             [dataclasses.replace(scenario, load_scale=1.0), scenario],
-            [bundled_equilibrium, bundled_equilibrium],
+            bundled_equilibrium.lanes(None).lanes([0, 0]),
         )
 
 
@@ -190,10 +191,11 @@ def test_stored_pe_is_the_active_networks_power(bundled_case, bundled_equilibriu
     scenario = Scenario(load_scale=1.0, dispatch_seed=0, fault_bus=7, observation_horizon_s=1.0)
     lone = simulate(bundled_case, scenario, bundled_equilibrium)
     _assert_pe_of_active_network(bundled_case, scenario, bundled_equilibrium, lone)
-    lanes = small_plan_lanes[:6]
-    batch, _ = simulate_batch(bundled_case, [s for s, _ in lanes], [eq for _, eq in lanes])
-    for b, (lane_scenario, eq) in enumerate(lanes):
-        _assert_pe_of_active_network(bundled_case, lane_scenario, eq, batch.lanes(b))
+    scenarios, equilibrium = small_plan_lanes
+    batch, _ = simulate_batch(bundled_case, scenarios[:6], equilibrium.lanes(slice(6)))
+    for b, lane_scenario in enumerate(scenarios[:6]):
+        lane_eq = equilibrium.lanes(b)
+        _assert_pe_of_active_network(bundled_case, lane_scenario, lane_eq, batch.lanes(b))
 
 
 # --- Fixed point and accuracy -------------------------------------------------
@@ -310,8 +312,16 @@ def test_divergence_reports_last_finite_sample(bundled_case, bundled_equilibrium
 
 @pytest.fixture(scope="module")
 def small_plan_lanes(bundled_case, small_plan):
-    """(scenario, equilibrium) of every solved small-plan cell, in plan order."""
-    return [(c[2], c[3]) for c in _solve_cells(bundled_case, small_plan) if c[3] is not None]
+    """Scenarios of the small-plan cells, in plan order, and their batched equilibrium."""
+    scenarios = [
+        Scenario(load_scale=level, dispatch_seed=_stream_seed(0, k, 0), fault_bus=bus)
+        for k, level, _, bus in small_plan.cells()
+    ]
+    reduced = np.stack([reduce_to_generators(bundled_case, s.load_scale) for s in scenarios])
+    pm = np.stack([dispatch_pm(bundled_case, s.load_scale, s.dispatch_seed) for s in scenarios])
+    equilibrium, _, failures = solve_equilibrium_batch(bundled_case, reduced, pm)
+    assert failures == (None,) * len(scenarios)  # every small-plan cell solves
+    return scenarios, equilibrium
 
 
 def _assert_same_trajectory(a, b):
@@ -322,24 +332,27 @@ def _assert_same_trajectory(a, b):
 
 @pytest.mark.parametrize("order", ["plan", "reversed"])
 def test_batch_lanes_equal_lone_runs(bundled_case, small_plan_lanes, order):
-    lanes = small_plan_lanes if order == "plan" else small_plan_lanes[::-1]
-    batch, first_bad = simulate_batch(bundled_case, [s for s, _ in lanes], [eq for _, eq in lanes])
+    scenarios, equilibrium = small_plan_lanes
+    lanes = np.arange(len(scenarios))
+    lanes = lanes if order == "plan" else lanes[::-1]
+    scenarios = [scenarios[k] for k in lanes]
+    batch, first_bad = simulate_batch(bundled_case, scenarios, equilibrium.lanes(lanes))
     assert batch.delta.shape == (len(lanes), batch.n_samples, bundled_case.n_generators)
     assert batch.pm.shape == (len(lanes), bundled_case.n_generators)
     assert np.array_equal(first_bad, np.full(len(lanes), batch.n_samples))
-    for b, (scenario, eq) in enumerate(lanes):
-        _assert_same_trajectory(batch.lanes(b), simulate(bundled_case, scenario, eq))
+    for b, (scenario, k) in enumerate(zip(scenarios, lanes)):
+        lone = simulate(bundled_case, scenario, equilibrium.lanes(k))
+        _assert_same_trajectory(batch.lanes(b), lone)
 
 
 def test_batch_masks_a_diverged_lane(bundled_case, small_plan_lanes):
-    scenarios = [s for s, _ in small_plan_lanes]
-    equilibria = [eq for _, eq in small_plan_lanes]
-    clean, _ = simulate_batch(bundled_case, scenarios, equilibria)
-    poisoned = dataclasses.replace(equilibria[3], delta0=np.array([np.nan, 0.0, 0.0]))
-    mixed, first_bad = simulate_batch(
-        bundled_case, scenarios[:3] + [scenarios[3]] + scenarios[3:],
-        equilibria[:3] + [poisoned] + equilibria[3:],
-    )
+    scenarios, equilibrium = small_plan_lanes
+    clean, _ = simulate_batch(bundled_case, scenarios, equilibrium)
+    # Lane 3 repeated, the copy starting from a NaN angle.
+    lanes = [0, 1, 2, 3] + list(range(3, len(scenarios)))
+    mixed_eq = equilibrium.lanes(lanes)
+    mixed_eq.delta0[3] = [np.nan, 0.0, 0.0]
+    mixed, first_bad = simulate_batch(bundled_case, [scenarios[k] for k in lanes], mixed_eq)
     assert first_bad[3] == 0
     others = np.arange(len(first_bad)) != 3
     assert np.all(first_bad[others] == mixed.n_samples)
@@ -350,13 +363,15 @@ def test_batch_reports_a_lane_that_overflows_mid_run(bundled_case, small_plan_la
     # A finite start whose acceleration overflows in the first RK4 step:
     # sample 1 is the first non-finite one.  The overflow must neither warn
     # nor touch the other lanes.
-    scenarios = [s for s, _ in small_plan_lanes]
-    equilibria = [eq for _, eq in small_plan_lanes]
-    clean, _ = simulate_batch(bundled_case, scenarios, equilibria)
-    equilibria[3] = dataclasses.replace(equilibria[3], pm=np.array([1e308, 0.0, -1e308]))
+    scenarios, equilibrium = small_plan_lanes
+    clean, _ = simulate_batch(bundled_case, scenarios, equilibrium)
+    pm = equilibrium.pm.copy()
+    pm[3] = [1e308, 0.0, -1e308]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mixed, first_bad = simulate_batch(bundled_case, scenarios, equilibria)
+        mixed, first_bad = simulate_batch(
+            bundled_case, scenarios, dataclasses.replace(equilibrium, pm=pm)
+        )
     assert first_bad[3] == 1
     others = np.arange(len(first_bad)) != 3
     assert np.all(first_bad[others] == mixed.n_samples)
@@ -365,10 +380,8 @@ def test_batch_reports_a_lane_that_overflows_mid_run(bundled_case, small_plan_la
 
 def test_batched_labels_noise_and_features_equal_per_lane_calls(bundled_case, small_plan_lanes):
     # One call over every lane gives the bytes of one call per lane.
-    batch, _ = simulate_batch(
-        bundled_case, [s for s, _ in small_plan_lanes], [eq for _, eq in small_plan_lanes]
-    )
-    seeds = list(range(100, 100 + len(small_plan_lanes)))
+    batch, _ = simulate_batch(bundled_case, *small_plan_lanes)
+    seeds = list(range(100, 100 + batch.delta.shape[0]))
     labels = label(batch)
     noisy = inject_noise(batch, 0.02, seeds)
     rows = extract_features(batch)
@@ -391,14 +404,17 @@ def test_batch_rejects_mixed_timing_and_bad_shapes(bundled_case, bundled_equilib
     short = Scenario(load_scale=1.0, dispatch_seed=0, fault_bus=7, observation_horizon_s=1.0)
     longer = dataclasses.replace(short, observation_horizon_s=2.0)
     slower = dataclasses.replace(short, fault_clearing_cycles=6)
-    eq = bundled_equilibrium
+    one = bundled_equilibrium.lanes(None)
+    two = one.lanes([0, 0])
     for other in (longer, slower):
         with pytest.raises(InvalidArgumentError, match="share"):
-            simulate_batch(bundled_case, [short, other], [eq, eq])
+            simulate_batch(bundled_case, [short, other], two)
     with pytest.raises(InvalidArgumentError):
-        simulate_batch(bundled_case, [], [])
-    with pytest.raises(InvalidArgumentError):
-        simulate_batch(bundled_case, [short, short], [eq])
+        simulate_batch(bundled_case, [], one.lanes(slice(0)))
+    with pytest.raises(InvalidArgumentError, match="one equilibrium lane per scenario"):
+        simulate_batch(bundled_case, [short, short], one)
+    with pytest.raises(InvalidArgumentError, match="one equilibrium lane per scenario"):
+        simulate_batch(bundled_case, [short], dataclasses.replace(one, network=one.network[:, :2]))
 
 
 # --- Stability labelling ------------------------------------------------------
