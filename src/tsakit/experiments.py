@@ -297,8 +297,11 @@ def sweep(
 ) -> SweepReport:
     """Run every scheme over every seed; each seed fixes its own split.
 
-    Two schemes under the same seed see identical partitions.
+    Two schemes under the same seed see identical partitions.  An empty
+    scheme or seed list is refused.
     """
+    if len(schemes) == 0 or len(seeds) == 0:
+        raise InvalidArgumentError("a sweep needs at least one scheme and one seed")
     results = []
     medians = {}
     for scheme in schemes:

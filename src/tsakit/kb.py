@@ -9,10 +9,12 @@ counter scheme: scenario number `k` dispatches with the stream seeded by
 (master_seed, k, 0) and, when measurement noise is requested, perturbs
 its channels with the stream seeded by (master_seed, k, 1).
 
-Every cell's equilibrium is a lane of one batched Newton solve.  Solved
-cells are integrated as the lanes of one batched trajectory, whose
-labels, noise and features fill plan-order arrays; a lane that went
-non-finite is discarded like a cell whose equilibrium has no solution.
+Each network of a plan, every load level intact and with each fault bus
+grounded, is reduced once.  Every cell's equilibrium is a lane of one
+batched Newton solve on its level's intact network.  Solved cells are
+integrated as the lanes of one batched trajectory, each on its own
+fault-on network; labels, noise and features fill plan-order arrays, and
+a lane that went non-finite is discarded like a cell without equilibrium.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .errors import (
 from .features import FEATURE_NAMES, extract_features
 from .network import NetworkCase, reduce_to_generators, solve_equilibrium_batch
 from .network import solve_equilibrium  # noqa: F401  (wrapped by bench/tracing.py)
-from .simulator import Scenario, Trajectory, label, simulate_batch
+from .simulator import Trajectory, label, simulate_batch
 from .simulator import simulate  # noqa: F401  (wrapped by bench/tracing.py)
 
 KB_FORMAT = 1
@@ -84,6 +86,8 @@ class ScenarioPlan:
             raise InvalidArgumentError("load levels must differ at two decimals")
         require_count(self.dispatches_per_level, "dispatches_per_level")
         require_count(self.fault_clearing_cycles, "fault_clearing_cycles")
+        if not 0 < self.observation_horizon_s < np.inf:
+            raise InvalidArgumentError("observation horizon must be positive and finite")
         require_count(self.master_seed, "master_seed", minimum=0)
 
     @property
@@ -192,39 +196,36 @@ def generate_kb(
     """
     if not 0 <= noise_max_rel_error <= NOISE_MAX:
         raise InvalidArgumentError(f"noise level must lie in [0, {NOISE_MAX}]")
-    for bus in plan.fault_buses:
-        case.bus_index(bus)  # raises on unknown bus
     if case.total_load_p <= 0:
         raise InvalidArgumentError("case carries no active load to dispatch")
 
-    # Plan-order arrays: cell k is scenario k, dispatched from stream (master, k, 0).
-    ids, scenarios = [], []
+    # Every network of the plan, reduced once: networks[i, 0] is load level
+    # i intact and networks[i, 1 + j] the same with fault bus j grounded.
+    buses = (None, *plan.fault_buses)
+    networks = np.array(
+        [[reduce_to_generators(case, lv, fault_bus=b) for b in buses] for lv in plan.load_levels]
+    )
+    # Plan-order arrays: cell k dispatches from stream (master, k, 0) and
+    # runs on the networks of its level and fault bus.
+    ids, pm = [], []
     for counter, level, di, bus in plan.cells():
         ids.append(f"lv{level:.2f}/d{di}/b{bus}")
-        scenarios.append(
-            Scenario(
-                load_scale=level,
-                dispatch_seed=_stream_seed(plan.master_seed, counter, 0),
-                fault_bus=bus,
-                fault_clearing_cycles=plan.fault_clearing_cycles,
-                observation_horizon_s=plan.observation_horizon_s,
-            )
-        )
-    intact = {level: reduce_to_generators(case, level) for level in plan.load_levels}
-    pm = np.stack([dispatch_pm(case, s.load_scale, s.dispatch_seed) for s in scenarios])
-    reduced = np.stack([intact[s.load_scale] for s in scenarios])
-    equilibrium, _, failures = solve_equilibrium_batch(case, reduced, pm)
+        pm.append(dispatch_pm(case, level, _stream_seed(plan.master_seed, counter, 0)))
+    grid = (len(plan.load_levels), plan.dispatches_per_level, len(plan.fault_buses))
+    level_of, _, bus_of = np.unravel_index(np.arange(plan.n_planned), grid)
+    equilibrium, _, failures = solve_equilibrium_batch(case, networks[level_of, 0], np.stack(pm))
+    timing = plan.fault_clearing_cycles, plan.observation_horizon_s
 
     # Integrate the solved cells in batches and fill plan-order arrays; a
     # diverged lane is dropped from its batch and stays unfilled.
     solved = np.flatnonzero([f is None for f in failures])
-    kept = np.zeros(len(scenarios), dtype=bool)
-    rows = np.empty((len(scenarios), len(FEATURE_NAMES)))
-    labels = np.empty(len(scenarios), dtype=int)
+    kept = np.zeros(plan.n_planned, dtype=bool)
+    rows = np.empty((plan.n_planned, len(FEATURE_NAMES)))
+    labels = np.empty(plan.n_planned, dtype=int)
     for start in range(0, len(solved), BATCH_CELLS):
         batch = solved[start : start + BATCH_CELLS]
-        batch_scenarios = [scenarios[k] for k in batch]
-        trajectory, first_bad = simulate_batch(case, batch_scenarios, equilibrium.lanes(batch))
+        faulted = networks[level_of[batch], 1 + bus_of[batch]]
+        trajectory, first_bad = simulate_batch(case, equilibrium.lanes(batch), faulted, *timing)
         finite = first_bad == trajectory.n_samples
         counters = batch[finite]
         if not finite.all():

@@ -7,12 +7,13 @@ the observation horizon.  Integration is fixed-step RK4 with ten internal
 steps per cycle; the trajectory is sampled once per cycle.  Each segment
 is one complex power table per scenario (`network.power_tables`), which
 every RK4 stage evaluates with the formula of `network.electrical_power`.
-One RK4 loop serves both entry points: `simulate_batch` advances many
-scenarios of a case side by side as lanes of one array, and `simulate` is
-its one-lane case.  Lanes start from the lanes of one batched Equilibrium
-(`network.solve_equilibrium_batch`).  A batched Trajectory leads every
-series with the lane axis, and `label` reads a lone trajectory or every
-lane of a batch at once.
+One RK4 loop serves both entry points.  `simulate_batch` takes arrays
+only: a batched Equilibrium (`network.solve_equilibrium_batch`), whose
+networks are the intact segments, one fault-on network per lane, and the
+timing all lanes share; it advances the lanes side by side.  `simulate`
+reduces a Scenario's two networks and makes the one-lane call.  A batched
+Trajectory leads every series with the lane axis, and `label` reads a
+lone trajectory or every lane of a batch at once.
 
 The loop's cost is numpy's per-call dispatch on a few elements per lane,
 so it makes as few calls as it can without changing a bit: the step
@@ -122,31 +123,6 @@ class StabilityLabel:
     max_spread_deg: float
 
 
-def _segment_tables(case: NetworkCase, scenarios, equilibrium: Equilibrium):
-    """Pre-fault and fault-on `power_tables`, stacked over lanes.
-
-    Each stack has shape (n_lanes, n_gen, n_gen).  A lane's intact network
-    is the one its equilibrium was balanced on, which must be the case's
-    at the scenario's load scale.  Each distinct network, intact per load
-    scale and faulted per (load scale, fault bus), is reduced once.
-    """
-    reduced = {}
-    for scenario in scenarios:
-        for bus in (None, scenario.fault_bus):
-            if (scenario.load_scale, bus) not in reduced:
-                reduced[scenario.load_scale, bus] = reduce_to_generators(
-                    case, scenario.load_scale, fault_bus=bus
-                )
-    intact = np.stack([reduced[s.load_scale, None] for s in scenarios])
-    other = (equilibrium.network != intact).any(axis=(1, 2))
-    if other.any():
-        raise InvalidArgumentError(
-            f"equilibrium was not solved at load scale {scenarios[other.argmax()].load_scale!r}"
-        )
-    fault = np.stack([reduced[s.load_scale, s.fault_bus] for s in scenarios])
-    return power_tables(equilibrium.network, case.emf), power_tables(fault, case.emf)
-
-
 def simulate(
     case: NetworkCase,
     scenario: Scenario,
@@ -160,7 +136,13 @@ def simulate(
     scale (InvalidArgumentError otherwise).  Raises IntegrationDivergedError
     on a non-finite state.
     """
-    batch, (bad,) = simulate_batch(case, [scenario], equilibrium.lanes(None), substeps_per_cycle)
+    level, bus = scenario.load_scale, scenario.fault_bus
+    intact = reduce_to_generators(case, level)
+    if not np.array_equal(equilibrium.network, intact):
+        raise InvalidArgumentError(f"equilibrium was not solved at load scale {level!r}")
+    fault = intact if bus is None else reduce_to_generators(case, level, fault_bus=bus)
+    timing = scenario.fault_clearing_cycles, scenario.observation_horizon_s, substeps_per_cycle
+    batch, (bad,) = simulate_batch(case, equilibrium.lanes(None), fault[None], *timing)
     if bad < batch.n_samples:
         message = f"non-finite rotor state at sample {bad}"
         raise IntegrationDivergedError(message, last_finite_index=int(bad) - 1)
@@ -169,16 +151,19 @@ def simulate(
 
 def simulate_batch(
     case: NetworkCase,
-    scenarios,
     equilibrium: Equilibrium,
+    fault_network: np.ndarray,
+    fault_clearing_cycles: int,
+    observation_horizon_s: float,
     substeps_per_cycle: int = SUBSTEPS_PER_CYCLE,
 ) -> tuple:
-    """Integrate many scenarios of one case in a single vectorised RK4 pass.
+    """Integrate many disturbances of one case in a single vectorised RK4 pass.
 
-    Lane b runs `scenarios[b]` from lane b of the batched `equilibrium`.
-    Lanes never mix, so each lane equals its own `simulate` call bit for
-    bit.  The scenarios must share the clearing time and the observation
-    horizon.
+    Lane b starts from lane b of the batched `equilibrium` and runs on
+    `equilibrium.network[b]` before inception and after clearing, and on
+    `fault_network[b]` (shape (B, n, n)) while the fault is on.  Every
+    lane shares the clearing time and the observation horizon.  Lanes
+    never mix, so each lane equals its own one-lane call bit for bit.
 
     Returns (trajectory, first_bad): one batched Trajectory whose series
     lead with the lane axis, and each lane's first sample with a non-finite
@@ -186,24 +171,20 @@ def simulate_batch(
     is elementwise per lane, so a non-finite value stays in its lane and
     leaves the others untouched.
     """
-    scenarios = list(scenarios)
     require_count(substeps_per_cycle, "substeps_per_cycle")
-    if not scenarios:
-        raise InvalidArgumentError("a batch needs at least one scenario")
-    first = scenarios[0]
-    if any(
-        s.fault_clearing_cycles != first.fault_clearing_cycles
-        or s.observation_horizon_s != first.observation_horizon_s
-        for s in scenarios
-    ):
-        raise InvalidArgumentError("scenarios in one batch must share clearing time and horizon")
+    require_count(fault_clearing_cycles, "fault_clearing_cycles")
+    if not 0 < observation_horizon_s < np.inf:
+        raise InvalidArgumentError("observation horizon must be positive and finite")
     freq = case.base_frequency_hz
     n_gen = case.n_generators
-    n_lanes = len(scenarios)
-    shapes = [np.shape(a) for a in (equilibrium.delta0, equilibrium.pm, equilibrium.network)]
-    if shapes != [(n_lanes, n_gen)] * 2 + [(n_lanes, n_gen, n_gen)]:
-        raise InvalidArgumentError("a batch needs one equilibrium lane per scenario, on the case")
-    cycles = first.observation_horizon_s * freq
+    arrays = (equilibrium.delta0, equilibrium.pm, equilibrium.network, fault_network)
+    shapes = [np.shape(a) for a in arrays]
+    n_lanes = shapes[-1][0] if shapes[-1] else 0
+    if not n_lanes or shapes != [(n_lanes, n_gen)] * 2 + [(n_lanes, n_gen, n_gen)] * 2:
+        raise InvalidArgumentError(
+            "a batch needs lanes, each with an equilibrium and a fault network on the case"
+        )
+    cycles = observation_horizon_s * freq
     try:  # each sampled series is one (B, n_samples, n) float array
         n_samples = int(round(cycles)) + 1
         delta, omega, pe_out = (np.empty((n_lanes, n_samples, n_gen)) for _ in range(3))
@@ -213,13 +194,14 @@ def simulate_batch(
             "more than memory can hold"
         ) from None
     t0 = PRE_FAULT_CYCLES
-    tcl = t0 + first.fault_clearing_cycles
+    tcl = t0 + fault_clearing_cycles
     if tcl >= n_samples - 1:
         raise InvalidArgumentError(
             "observation horizon ends before the fault is cleared and observed"
         )
 
-    pre, fault = _segment_tables(case, scenarios, equilibrium)
+    pre = power_tables(equilibrium.network, case.emf)
+    fault = power_tables(fault_network, case.emf)
     pm = np.array(equilibrium.pm, dtype=float)
     # Constants tiled to (B, n): same-shape operands spare numpy its
     # broadcasting and Python-float overhead, and keep every product's bits.

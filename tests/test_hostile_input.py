@@ -149,6 +149,38 @@ def test_booleans_are_not_reals(documents, kind, line, path, value):
         READERS[kind]("\n".join(json.dumps(d) for d in docs) + "\n", None)
 
 
+# A header plan whose horizon no plan accepts: no generator writes it, and
+# the reader refuses it like any other bad field.
+@pytest.mark.parametrize("value", [-1.0, 0.0, float("nan"), float("inf")])
+def test_kb_header_horizon_must_be_positive_and_finite(documents, value):
+    _, texts = documents
+    lines = texts["kb"].splitlines()
+    header = json.loads(lines[0])
+    header["plan"]["observation_horizon_s"] = value
+    with pytest.raises(FormatError, match="horizon") as excinfo:
+        _read_kb("\n".join([json.dumps(header)] + lines[1:]) + "\n", None)
+    assert excinfo.value.line == 1
+
+
+# An empty sweep or a negative horizon is refused before anything is written.
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen-kb", "--horizon", "-1"], "observation horizon must be positive and finite"),
+        (["sweep", "--seeds", "0"], "a sweep needs at least one scheme and one seed"),
+        (["sweep", "--schemes", ";"], "a sweep needs at least one scheme and one seed"),
+    ],
+    ids=["gen-kb-negative-horizon", "sweep-no-seeds", "sweep-no-schemes"],
+)
+def test_empty_sweep_or_negative_horizon_is_bad_input(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.txt"
+    if argv[0] == "sweep":
+        argv = argv + ["--kb", str(DATA_DIR / "small_kb_reference.txt"), "--train-size", "8"]
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # Horizons whose sample arrays numpy could not index: refused before the
 # run integrates anything.  (A horizon that merely needs gigabytes would be
 # accepted and run for days, so none is tried here.)

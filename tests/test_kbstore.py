@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from tsakit import kb as kbmod
+from tsakit import kb as kbmod, simulator
 from tsakit.errors import (
     DegenerateKnowledgeBaseError,
     EquilibriumFailureError,
@@ -75,6 +75,11 @@ def test_cells_iterate_bus_fastest():
         dict(fault_buses=(7,), dispatches_per_level=True),
         dict(fault_buses=(7,), fault_clearing_cycles=2.5),
         dict(fault_buses=(7,), fault_clearing_cycles=True),
+        # the horizon is positive and finite
+        dict(fault_buses=(7,), observation_horizon_s=0.0),
+        dict(fault_buses=(7,), observation_horizon_s=-1.0),
+        dict(fault_buses=(7,), observation_horizon_s=float("nan")),
+        dict(fault_buses=(7,), observation_horizon_s=float("inf")),
     ],
 )
 def test_plan_rejects_bad_arguments(kwargs):
@@ -232,6 +237,26 @@ def test_a_diverged_cell_is_discarded_in_plan_order(bundled_case, monkeypatch, n
     assert kb.feature_matrix.tobytes() == clean.feature_matrix[keep].tobytes()
     assert kb.labels.tobytes() == clean.labels[keep].tobytes()
     assert kb.noise_max_rel_error == noise
+
+
+@pytest.mark.parametrize("batch_cells", [kbmod.BATCH_CELLS, 1])
+def test_each_network_of_a_plan_is_reduced_once(bundled_case, small_plan, monkeypatch, batch_cells):
+    # L load levels, each intact and with each of F fault buses grounded:
+    # L * (1 + F) distinct networks, each reduced once whatever the batch size.
+    real = kbmod.reduce_to_generators
+    calls = []
+
+    def counted(case, load_scale=1.0, fault_bus=None):
+        calls.append((load_scale, fault_bus))
+        return real(case, load_scale, fault_bus=fault_bus)
+
+    for module in (kbmod, simulator):
+        monkeypatch.setattr(module, "reduce_to_generators", counted)
+    monkeypatch.setattr(kbmod, "BATCH_CELLS", batch_cells)
+    generate_kb(bundled_case, small_plan)
+    levels, buses = small_plan.load_levels, (None, *small_plan.fault_buses)
+    assert len(calls) == len(levels) * len(buses) == 8
+    assert set(calls) == {(level, bus) for level in levels for bus in buses}
 
 
 @pytest.mark.parametrize("order", ["plan", "reversed"])

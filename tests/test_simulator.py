@@ -141,12 +141,6 @@ def test_simulate_refuses_equilibrium_from_another_load_scale(bundled_case, bund
     scenario = Scenario(load_scale=1.3, dispatch_seed=0, fault_bus=7)
     with pytest.raises(InvalidArgumentError, match="load scale"):
         simulate(bundled_case, scenario, bundled_equilibrium)
-    with pytest.raises(InvalidArgumentError, match="load scale"):
-        simulate_batch(
-            bundled_case,
-            [dataclasses.replace(scenario, load_scale=1.0), scenario],
-            bundled_equilibrium.lanes(None).lanes([0, 0]),
-        )
 
 
 def test_sampling_grid_and_switch_indices(bundled_case, bundled_equilibrium):
@@ -191,8 +185,8 @@ def test_stored_pe_is_the_active_networks_power(bundled_case, bundled_equilibriu
     scenario = Scenario(load_scale=1.0, dispatch_seed=0, fault_bus=7, observation_horizon_s=1.0)
     lone = simulate(bundled_case, scenario, bundled_equilibrium)
     _assert_pe_of_active_network(bundled_case, scenario, bundled_equilibrium, lone)
-    scenarios, equilibrium = small_plan_lanes
-    batch, _ = simulate_batch(bundled_case, scenarios[:6], equilibrium.lanes(slice(6)))
+    scenarios, equilibrium, fault = small_plan_lanes
+    batch, _ = _plan_batch(bundled_case, equilibrium.lanes(slice(6)), fault[:6])
     for b, lane_scenario in enumerate(scenarios[:6]):
         lane_eq = equilibrium.lanes(b)
         _assert_pe_of_active_network(bundled_case, lane_scenario, lane_eq, batch.lanes(b))
@@ -312,16 +306,25 @@ def test_divergence_reports_last_finite_sample(bundled_case, bundled_equilibrium
 
 @pytest.fixture(scope="module")
 def small_plan_lanes(bundled_case, small_plan):
-    """Scenarios of the small-plan cells, in plan order, and their batched equilibrium."""
+    """Scenarios of the small-plan cells in plan order, their batched
+    equilibrium and their stacked fault-on networks."""
     scenarios = [
         Scenario(load_scale=level, dispatch_seed=_stream_seed(0, k, 0), fault_bus=bus)
         for k, level, _, bus in small_plan.cells()
     ]
     reduced = np.stack([reduce_to_generators(bundled_case, s.load_scale) for s in scenarios])
+    fault = np.stack(
+        [reduce_to_generators(bundled_case, s.load_scale, fault_bus=s.fault_bus) for s in scenarios]
+    )
     pm = np.stack([dispatch_pm(bundled_case, s.load_scale, s.dispatch_seed) for s in scenarios])
     equilibrium, _, failures = solve_equilibrium_batch(bundled_case, reduced, pm)
     assert failures == (None,) * len(scenarios)  # every small-plan cell solves
-    return scenarios, equilibrium
+    return scenarios, equilibrium, fault
+
+
+def _plan_batch(case, equilibrium, fault):
+    """`simulate_batch` at the small plan's timing, a default Scenario's."""
+    return simulate_batch(case, equilibrium, fault, 5, 5.0)
 
 
 def _assert_same_trajectory(a, b):
@@ -332,11 +335,11 @@ def _assert_same_trajectory(a, b):
 
 @pytest.mark.parametrize("order", ["plan", "reversed"])
 def test_batch_lanes_equal_lone_runs(bundled_case, small_plan_lanes, order):
-    scenarios, equilibrium = small_plan_lanes
+    scenarios, equilibrium, fault = small_plan_lanes
     lanes = np.arange(len(scenarios))
     lanes = lanes if order == "plan" else lanes[::-1]
     scenarios = [scenarios[k] for k in lanes]
-    batch, first_bad = simulate_batch(bundled_case, scenarios, equilibrium.lanes(lanes))
+    batch, first_bad = _plan_batch(bundled_case, equilibrium.lanes(lanes), fault[lanes])
     assert batch.delta.shape == (len(lanes), batch.n_samples, bundled_case.n_generators)
     assert batch.pm.shape == (len(lanes), bundled_case.n_generators)
     assert np.array_equal(first_bad, np.full(len(lanes), batch.n_samples))
@@ -346,13 +349,13 @@ def test_batch_lanes_equal_lone_runs(bundled_case, small_plan_lanes, order):
 
 
 def test_batch_masks_a_diverged_lane(bundled_case, small_plan_lanes):
-    scenarios, equilibrium = small_plan_lanes
-    clean, _ = simulate_batch(bundled_case, scenarios, equilibrium)
+    scenarios, equilibrium, fault = small_plan_lanes
+    clean, _ = _plan_batch(bundled_case, equilibrium, fault)
     # Lane 3 repeated, the copy starting from a NaN angle.
     lanes = [0, 1, 2, 3] + list(range(3, len(scenarios)))
     mixed_eq = equilibrium.lanes(lanes)
     mixed_eq.delta0[3] = [np.nan, 0.0, 0.0]
-    mixed, first_bad = simulate_batch(bundled_case, [scenarios[k] for k in lanes], mixed_eq)
+    mixed, first_bad = _plan_batch(bundled_case, mixed_eq, fault[lanes])
     assert first_bad[3] == 0
     others = np.arange(len(first_bad)) != 3
     assert np.all(first_bad[others] == mixed.n_samples)
@@ -363,14 +366,14 @@ def test_batch_reports_a_lane_that_overflows_mid_run(bundled_case, small_plan_la
     # A finite start whose acceleration overflows in the first RK4 step:
     # sample 1 is the first non-finite one.  The overflow must neither warn
     # nor touch the other lanes.
-    scenarios, equilibrium = small_plan_lanes
-    clean, _ = simulate_batch(bundled_case, scenarios, equilibrium)
+    _, equilibrium, fault = small_plan_lanes
+    clean, _ = _plan_batch(bundled_case, equilibrium, fault)
     pm = equilibrium.pm.copy()
     pm[3] = [1e308, 0.0, -1e308]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mixed, first_bad = simulate_batch(
-            bundled_case, scenarios, dataclasses.replace(equilibrium, pm=pm)
+        mixed, first_bad = _plan_batch(
+            bundled_case, dataclasses.replace(equilibrium, pm=pm), fault
         )
     assert first_bad[3] == 1
     others = np.arange(len(first_bad)) != 3
@@ -380,7 +383,7 @@ def test_batch_reports_a_lane_that_overflows_mid_run(bundled_case, small_plan_la
 
 def test_batched_labels_noise_and_features_equal_per_lane_calls(bundled_case, small_plan_lanes):
     # One call over every lane gives the bytes of one call per lane.
-    batch, _ = simulate_batch(bundled_case, *small_plan_lanes)
+    batch, _ = _plan_batch(bundled_case, *small_plan_lanes[1:])
     seeds = list(range(100, 100 + batch.delta.shape[0]))
     labels = label(batch)
     noisy = inject_noise(batch, 0.02, seeds)
@@ -400,21 +403,41 @@ def test_batched_labels_noise_and_features_equal_per_lane_calls(bundled_case, sm
         inject_noise(batch, 0.02, seeds[:-1])
 
 
-def test_batch_rejects_mixed_timing_and_bad_shapes(bundled_case, bundled_equilibrium):
-    short = Scenario(load_scale=1.0, dispatch_seed=0, fault_bus=7, observation_horizon_s=1.0)
-    longer = dataclasses.replace(short, observation_horizon_s=2.0)
-    slower = dataclasses.replace(short, fault_clearing_cycles=6)
-    one = bundled_equilibrium.lanes(None)
-    two = one.lanes([0, 0])
-    for other in (longer, slower):
-        with pytest.raises(InvalidArgumentError, match="share"):
-            simulate_batch(bundled_case, [short, other], two)
+def test_lane_on_its_intact_network_equals_a_no_fault_run(bundled_case, small_plan_lanes):
+    # A fault-on network equal to the lane's intact one is no fault at all.
+    scenarios, equilibrium, fault = small_plan_lanes
+    fault = fault.copy()
+    fault[4] = equilibrium.network[4]
+    batch, _ = _plan_batch(bundled_case, equilibrium, fault)
+    unfaulted = dataclasses.replace(scenarios[4], fault_bus=None)
+    _assert_same_trajectory(batch.lanes(4), simulate(bundled_case, unfaulted, equilibrium.lanes(4)))
+
+
+@pytest.mark.parametrize(
+    "cycles, horizon",
+    [(0, 1.0), (2.5, 1.0), (True, 1.0), (5, 0.0), (5, -1.0), (5, math.nan), (5, math.inf)],
+)
+def test_batch_rejects_bad_timing(bundled_case, bundled_equilibrium, cycles, horizon):
+    fault = reduce_to_generators(bundled_case, 1.0, fault_bus=7)[None]
     with pytest.raises(InvalidArgumentError):
-        simulate_batch(bundled_case, [], one.lanes(slice(0)))
-    with pytest.raises(InvalidArgumentError, match="one equilibrium lane per scenario"):
-        simulate_batch(bundled_case, [short, short], one)
-    with pytest.raises(InvalidArgumentError, match="one equilibrium lane per scenario"):
-        simulate_batch(bundled_case, [short], dataclasses.replace(one, network=one.network[:, :2]))
+        simulate_batch(bundled_case, bundled_equilibrium.lanes(None), fault, cycles, horizon)
+
+
+def test_batch_rejects_bad_shapes(bundled_case, bundled_equilibrium):
+    one = bundled_equilibrium.lanes(None)
+    fault = reduce_to_generators(bundled_case, 1.0, fault_bus=7)[None]
+    with pytest.raises(InvalidArgumentError, match="a batch needs lanes"):
+        simulate_batch(bundled_case, one.lanes(slice(0)), fault[:0], 5, 1.0)
+    bad = [
+        (one.lanes([0, 0]), fault),  # two equilibrium lanes, one fault network
+        (one, np.concatenate([fault, fault])),  # one equilibrium lane, two fault networks
+        (dataclasses.replace(one, network=one.network[:, :2]), fault),
+        (one, fault[0]),  # a lone fault network, no lane axis
+        (one, fault[:, :2]),
+    ]
+    for equilibrium, fault_network in bad:
+        with pytest.raises(InvalidArgumentError, match="a batch needs lanes"):
+            simulate_batch(bundled_case, equilibrium, fault_network, 5, 1.0)
 
 
 # --- Stability labelling ------------------------------------------------------
