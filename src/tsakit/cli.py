@@ -2,7 +2,9 @@
 
 One binary, subcommand per task.  Exit codes: 0 on success, 1 for invalid
 input (bad flags, malformed files, impossible plans), 2 when a numerical
-routine fails to converge or diverges.
+routine fails to converge or diverges.  Text tables of numbers are read
+whole through `errors.finite_rows` before anything is printed, so a bad
+row leaves stdout empty and its error names the file line.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .errors import (
     InvalidArgumentError,
     NumericalFailureError,
     TsaKitError,
+    finite_rows,
     read_text,
 )
 
@@ -29,18 +32,17 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidArgumentError(message)
 
 
-def _int_list(text: str):
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise InvalidArgumentError(f"expected a comma-separated integer list, got {text!r}")
+def _comma_list(kind):
+    """Flag type: a non-empty comma-separated list of `kind` values, as a tuple."""
 
+    def parse(text: str):
+        values = tuple(kind(tok) for tok in text.split(",") if tok.strip())
+        if not values:
+            raise ValueError(text)
+        return values
 
-def _float_list(text: str):
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise InvalidArgumentError(f"expected a comma-separated number list, got {text!r}")
+    parse.__name__ = f"comma-separated {kind.__name__} list"  # argparse's error names it
+    return parse
 
 
 def default_fault_buses(case: network.NetworkCase):
@@ -133,17 +135,13 @@ def _cmd_eval(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = mkprobit.load_model(args.model)
-    rows = [line.split() for line in read_text(args.features).split("\n") if line.strip()]
-    for lineno, row in enumerate(rows, start=1):
-        try:
-            x = np.array([float(v) for v in row])
-        except ValueError:
-            raise InvalidArgumentError(f"feature line {lineno} is not numeric")
-        if not np.isfinite(x).all():
-            raise InvalidArgumentError(f"feature line {lineno} holds a non-finite value")
-        pred = mkprobit.predictive_distribution(model, x)
-        probs = " ".join(f"{p:.6f}" for p in pred.probabilities)
-        print(f"{pred.label:+d} {probs}")
+    lines = read_text(args.features).split("\n")
+    rows = [(n, line.split()) for n, line in enumerate(lines, start=1) if line.strip()]
+    raw = np.array(list(finite_rows(rows, model.n_features))).reshape(-1, model.n_features)
+    probs = mkprobit.model_probabilities(model, raw)[0]
+    # argmax takes the first of tied classes, as `predictive_distribution` does.
+    for c, row in zip(np.argmax(probs, axis=1), probs):
+        print(f"{model.class_labels[c]:+d} " + " ".join(f"{p:.6f}" for p in row))
     return 0
 
 
@@ -177,23 +175,12 @@ def _cmd_sweep(args) -> int:
 
 def _read_trajectory_csv(path):
     lines = read_text(path).splitlines()
-    if not lines or lines[0].strip() != "t_s,gen,delta_rad,omega_dev,pm_pu,pe_pu":
+    if not lines or lines[0].strip() != simulator.TRAJECTORY_HEADER:
         raise FormatError(f"{path} is not a trajectory table")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            values = [float(v) for v in line.split(",")]
-        except ValueError:
-            raise FormatError("trajectory field is not a number", line=lineno) from None
-        if len(values) != 6 or not all(np.isfinite(values)):
-            raise FormatError("trajectory row needs six finite numbers", line=lineno)
-        rows.append(values)
+    rows = [(n, line.split(",")) for n, line in enumerate(lines[1:], start=2) if line.strip()]
     if not rows:
         raise FormatError(f"{path} holds no trajectory rows")
-    return np.array(rows)
+    return np.array(list(finite_rows(rows, 6)))
 
 
 def _cmd_plot(args) -> int:
@@ -246,11 +233,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-kb", help="simulate a plan grid into a knowledge base")
     p.add_argument("--case")
-    p.add_argument("--levels", type=_float_list, help="comma list of load levels")
+    p.add_argument("--levels", type=_comma_list(float), help="comma list of load levels")
     p.add_argument("--dispatches", type=int, default=5)
     p.add_argument(
         "--fault-buses",
-        type=_int_list,
+        type=_comma_list(int),
         help="comma list of bus ids (default: all but the reference terminal)",
     )
     p.add_argument("--clearing-cycles", type=int, default=5)

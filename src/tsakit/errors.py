@@ -3,8 +3,12 @@
 Two families matter to callers: bad input (``InvalidArgumentError`` and
 subclasses, CLI exit code 1) and numerical breakdown
 (``NumericalFailureError`` and subclasses, CLI exit code 2).  Input files
-are read through ``read_text`` so that undecodable bytes are bad input too.
+are read through ``read_text`` so that undecodable bytes are bad input too,
+and every text table of numbers (case sections, trajectory CSV, feature
+rows) through ``finite_rows``, so that a bad row names its file line.
 """
+
+import math
 
 import numpy as np
 
@@ -67,6 +71,21 @@ def read_text(path) -> str:
             return fh.read()
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def finite_rows(rows, count: int):
+    """Each `(line number, fields)` pair as a list of `count` finite floats; a wrong
+    count, a non-number or a non-finite value is a FormatError naming the line."""
+    for lineno, fields in rows:
+        if len(fields) != count:
+            raise FormatError(f"expected {count} values, found {len(fields)} fields", line=lineno)
+        try:
+            values = [float(f) for f in fields]
+        except ValueError as exc:
+            raise FormatError(f"bad numeric field: {exc}", line=lineno) from None
+        if not all(map(math.isfinite, values)):
+            raise FormatError("numeric fields must be finite", line=lineno)
+        yield values
 
 
 class DegenerateLabelsError(InvalidArgumentError):

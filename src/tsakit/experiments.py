@@ -60,7 +60,7 @@ class SchemeSpec:
         )
 
 
-def parse_scheme(text: str, noise_mode: str = "clean", scheme_id: str = "") -> SchemeSpec:
+def parse_scheme(text: str, scheme_id: str = "") -> SchemeSpec:
     """Parse `F1(Kg)+F3(Kp)` style scheme strings."""
     subsets = []
     kinds = []
@@ -75,9 +75,7 @@ def parse_scheme(text: str, noise_mode: str = "clean", scheme_id: str = "") -> S
             raise InvalidArgumentError(f"unknown kernel code {code!r} in {token!r}")
         subsets.append(name.strip())
         kinds.append(KIND_CODES[code])
-    return SchemeSpec(
-        subsets=tuple(subsets), kernels=tuple(kinds), noise_mode=noise_mode, scheme_id=scheme_id
-    )
+    return SchemeSpec(subsets=tuple(subsets), kernels=tuple(kinds), scheme_id=scheme_id)
 
 
 def table4_schemes() -> tuple:
@@ -150,12 +148,10 @@ def split_stream(seed: int) -> np.random.SeedSequence:
 
 
 def labels_to_targets(labels: np.ndarray) -> np.ndarray:
-    targets = np.empty(len(labels), dtype=int)
-    for idx, lab in enumerate(labels):
-        if lab not in CLASS_LABELS:
-            raise InvalidArgumentError(f"label {lab} is not in {CLASS_LABELS}")
-        targets[idx] = CLASS_LABELS.index(lab)
-    return targets
+    known = np.isin(labels, CLASS_LABELS)
+    if not known.all():
+        raise InvalidArgumentError(f"label {labels[~known][0]} is not in {CLASS_LABELS}")
+    return (labels == CLASS_LABELS[1]).astype(int)
 
 
 def train_model(

@@ -62,8 +62,6 @@ def extract_f1(trajectory: Trajectory) -> np.ndarray:
     pre-fault sample, and Tz5 which looks one cycle past inception.
     """
     k0 = trajectory.t0_index
-    if k0 + 1 >= trajectory.n_samples:
-        raise InvalidArgumentError("trajectory ends too soon after fault inception")
     acc = _acceleration(trajectory, k0)
     tz1 = np.mean(trajectory.pm, axis=-1)
     tz2 = np.mean(acc, axis=-1)
@@ -77,8 +75,6 @@ def extract_f1(trajectory: Trajectory) -> np.ndarray:
 
 def extract_f2(trajectory: Trajectory) -> np.ndarray:
     """Fault-clearing subset Tz8..Tz14, read at the last fault-on sample."""
-    if trajectory.tcl_index <= trajectory.t0_index:
-        raise InvalidArgumentError("fault clearing precedes inception")
     k = trajectory.tcl_index - 1
     acc = _acceleration(trajectory, k)
     ke = _kinetic_energy(trajectory, k)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -273,17 +273,6 @@ def split(kb: KnowledgeBase, n_train: int, seed) -> Split:
 # File format: one JSON header line, then one JSON record per sample.
 
 
-def _plan_to_doc(plan: ScenarioPlan) -> dict:
-    return {
-        "load_levels": list(plan.load_levels),
-        "dispatches_per_level": plan.dispatches_per_level,
-        "fault_buses": list(plan.fault_buses),
-        "fault_clearing_cycles": plan.fault_clearing_cycles,
-        "observation_horizon_s": plan.observation_horizon_s,
-        "master_seed": plan.master_seed,
-    }
-
-
 def _plan_from_doc(doc: dict) -> ScenarioPlan:
     counts = ("dispatches_per_level", "fault_clearing_cycles", "master_seed")
     return ScenarioPlan(
@@ -298,7 +287,7 @@ def kb_to_text(kb: KnowledgeBase) -> str:
     header = {
         "format": KB_FORMAT,
         "case_id": kb.case_id,
-        "plan": _plan_to_doc(kb.plan),
+        "plan": asdict(kb.plan),  # tuples dump as JSON arrays; keys are sorted below
         "features": list(FEATURE_NAMES),
         "noise_max_rel_error": kb.noise_max_rel_error,
         "discarded": list(kb.discarded),

@@ -14,7 +14,6 @@ loop balances many dispatches as the lanes of a batched Equilibrium;
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -25,6 +24,7 @@ from .errors import (
     FormatError,
     InvalidArgumentError,
     ReductionSingularError,
+    finite_rows,
     read_text,
 )
 
@@ -430,15 +430,7 @@ _SECTIONS = ("buses", "branches", "generators", "loads")
 
 def _section_rows(rows, count, n_ids):
     """Each row as `count` finite numbers, the first `n_ids` of them integral bus ids."""
-    for lineno, parts in rows:
-        if len(parts) != count:
-            raise FormatError(f"expected {count} fields, found {len(parts)}", line=lineno)
-        try:
-            vals = [float(p) for p in parts]
-        except ValueError as exc:
-            raise FormatError(f"bad numeric field: {exc}", line=lineno) from None
-        if not all(map(math.isfinite, vals)):
-            raise FormatError("numeric fields must be finite", line=lineno)
+    for (lineno, _), vals in zip(rows, finite_rows(rows, count)):
         ids = [int(v) for v in vals[:n_ids]]
         if ids != vals[:n_ids]:
             raise FormatError("bus ids must be integers", line=lineno)

@@ -275,9 +275,12 @@ def label(trajectory: Trajectory) -> StabilityLabel:
     return StabilityLabel(value=value, max_spread_deg=spread)
 
 
+TRAJECTORY_HEADER = "t_s,gen,delta_rad,omega_dev,pm_pu,pe_pu"
+
+
 def trajectory_to_csv(trajectory: Trajectory, fh) -> None:
     """Write the per-generator series as rows of a flat CSV table."""
-    fh.write("t_s,gen,delta_rad,omega_dev,pm_pu,pe_pu\n")
+    fh.write(TRAJECTORY_HEADER + "\n")
     for k in range(trajectory.n_samples):
         t = float(trajectory.times_s[k])
         for g in range(trajectory.n_generators):

@@ -29,7 +29,7 @@ from tsakit.experiments import (
     table6_schemes,
     train_model,
 )
-from tsakit.kb import kb_to_text, save_kb, split
+from tsakit.kb import kb_to_text, load_kb, save_kb, split
 from tsakit.kernels import GAUSSIAN, POLYNOMIAL
 from tsakit.mkprobit import load_model, predictive_distribution
 from tsakit.network import bundled_case_path
@@ -429,7 +429,60 @@ def test_cli_predict_rejects_non_finite_row(value, model_file, small_kb, tmp_pat
     rc = cli.main(["predict", "--model", str(model_file), "--features", str(rows)])
     assert rc == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: feature line 2")
+    assert captured.err.startswith("error: line 2:")
+    assert captured.out == ""
+
+
+# Written by `tsakit gen-kb --seed 0`; read here, never rewritten.
+DEFAULT_KB = pathlib.Path(__file__).resolve().parents[1] / "bench" / "data" / "kb_default_seed0.txt"
+
+
+def _feature_text(rows):
+    return "".join(" ".join(repr(float(v)) for v in row) + "\n" for row in rows)
+
+
+def test_cli_predict_prints_what_per_row_prediction_gives(model_file, tmp_path, capsys):
+    # One batched call over the file must print, row for row, the label and
+    # six-decimal probabilities that a per-row `predictive_distribution` gives.
+    mat = load_kb(DEFAULT_KB).feature_matrix
+    model = load_model(model_file)
+    expected = []
+    for row in mat:
+        pred = predictive_distribution(model, row)
+        expected.append(f"{pred.label:+d} " + " ".join(f"{p:.6f}" for p in pred.probabilities))
+    rows = tmp_path / "rows.txt"
+    rows.write_text(_feature_text(mat))
+    assert cli.main(["predict", "--model", str(model_file), "--features", str(rows)]) == 0
+    assert capsys.readouterr().out.splitlines() == expected
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [("nan", "numeric fields must be finite"), ("x", "bad numeric field"), (None, "found 22")],
+    ids=["nan", "not-a-number", "short"],
+)
+def test_cli_predict_checks_the_whole_file_first(
+    bad, message, model_file, small_kb, tmp_path, capsys
+):
+    # Good rows, two blank lines, then a bad row on file line 5: nothing is
+    # printed, and the error counts blank lines too.
+    good = _feature_text(small_kb.feature_matrix[:2])
+    row = [repr(float(v)) for v in small_kb.feature_matrix[2]]
+    row = row[1:] if bad is None else [bad] + row[1:]
+    rows = tmp_path / "rows.txt"
+    rows.write_text(good + "\n  \n" + " ".join(row) + "\n" + good)
+    assert cli.main(["predict", "--model", str(model_file), "--features", str(rows)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 5:")
+    assert message in captured.err
+
+
+def test_cli_predict_on_an_empty_file_prints_nothing(model_file, tmp_path, capsys):
+    rows = tmp_path / "rows.txt"
+    rows.write_text("\n \n")
+    assert cli.main(["predict", "--model", str(model_file), "--features", str(rows)]) == 0
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])

@@ -181,6 +181,20 @@ def test_empty_sweep_or_negative_horizon_is_bad_input(tmp_path, capsys, argv, me
     assert not out.exists()
 
 
+# An empty comma list is refused, not read as "flag not given" (which would
+# run the default grid).
+@pytest.mark.parametrize(
+    "argv",
+    [["--levels", ","], ["--fault-buses", ",", "--dispatches", "1"]],
+    ids=["levels", "fault-buses"],
+)
+def test_empty_comma_list_is_bad_input(tmp_path, capsys, argv):
+    out = tmp_path / "out.txt"
+    assert cli.main(["gen-kb", *argv, "--out", str(out)]) == 1
+    assert "invalid comma-separated" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # Horizons whose sample arrays numpy could not index: refused before the
 # run integrates anything.  (A horizon that merely needs gigabytes would be
 # accepted and run for days, so none is tried here.)
